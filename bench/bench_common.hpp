@@ -73,18 +73,15 @@ inline Scale sweep_scale() {
   return s;
 }
 
-/// Stress corpus scale for the LP-engine head-to-heads: a 3×3 mesh with six
-/// tasks and four V/F levels. The MILP's LP relaxations have thousands of
-/// rows and columns — where sparse FTRAN/BTRAN beats the dense tableau's
-/// O(m·n) per-pivot sweep by an order of magnitude. At this size no engine
-/// proves optimality inside a sweep cap (the B&B tree is out of reach), so
-/// the preset is a FIXED-BUDGET benchmark: every seed runs to the time
-/// limit and the engines differentiate on node throughput, per-node LP time
-/// (`bnb.node_ns` — a time histogram `bench diff` gates on) and wall-clock
-/// overshoot (a run can only stop between node LP solves, so a 15-second
-/// dense tableau solve blows past the cap where a sub-second FTRAN-based
-/// node does not). Heterogeneous mesh (the default variation), so symmetry
-/// reductions don't collapse the instance the way sweep_scale does.
+/// Stress corpus scale: a 3×3 mesh with six tasks and four V/F levels. The
+/// MILP's LP relaxations have thousands of rows and columns, so FTRAN/BTRAN,
+/// refactorization and per-node LP time dominate. At this size the B&B does
+/// not prove optimality inside a sweep cap, so the preset is a FIXED-BUDGET
+/// benchmark: every seed runs to the time limit and a change shows up in
+/// node throughput, per-node LP time (`bnb.node_ns` — a time histogram
+/// `bench diff` gates on) and wall-clock overshoot (a run can only stop
+/// between node LP solves). Heterogeneous mesh (the default variation), so
+/// symmetry reductions don't collapse the instance the way sweep_scale does.
 inline Scale sweep_stress() {
   Scale s;
   s.num_tasks = 6;

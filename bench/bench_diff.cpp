@@ -56,10 +56,6 @@ double num_or(const json::Value* v, double fallback) {
 struct Differ {
   const DiffOptions& opt;
   DiffResult out;
-  /// Cross-engine comparison (config.lp_engine differs): deterministic work
-  /// counters legitimately differ between LP engines, so exact comparisons
-  /// report as notes instead of gating regressions.
-  bool lenient_exact = false;
 
   void add(DiffClass cls, std::string code, std::string metric, std::string detail) {
     switch (cls) {
@@ -114,17 +110,10 @@ struct Differ {
     }
   }
 
-  /// Deterministic counters: identical or it's a behavioural change — unless
-  /// the documents deliberately compare different LP engines, where a drift
-  /// is expected and demoted to a note.
+  /// Deterministic counters: identical or it's a behavioural change.
   void compare_exact(const std::string& metric, double old_v, double new_v) {
     if (old_v == new_v) {  // fp-exact: integer totals round-tripped via JSON
       ++out.within_noise;  // tallied, but no per-counter finding row
-      return;
-    }
-    if (lenient_exact) {
-      add(DiffClass::kNote, "bench-diff-counter-drift", metric,
-          fmt_pair(old_v, new_v, 0.0));
       return;
     }
     add(DiffClass::kRegression, "bench-diff-counter-drift", metric,
@@ -240,25 +229,6 @@ DiffResult diff_sweeps(const json::Value& old_doc, const json::Value& new_doc,
   }
   if (!d.out.comparable) return d.out;
 
-  // LP engine: a differing engine is a DELIBERATE head-to-head comparison,
-  // not a broken one. Timing comparisons stand (that is the point of the
-  // head-to-head), but deterministic work counters — pivot tallies,
-  // factorization counts, iteration histograms — measure a different
-  // algorithm, so their exact comparisons demote to notes. A document
-  // without the field predates the engine knob and ran the tableau engine.
-  const json::Value* oe = walk(old_doc, {"config", "lp_engine"});
-  const json::Value* ne = walk(new_doc, {"config", "lp_engine"});
-  const std::string old_engine =
-      (oe != nullptr && oe->is_string()) ? oe->as_string() : "tableau";
-  const std::string new_engine =
-      (ne != nullptr && ne->is_string()) ? ne->as_string() : "tableau";
-  if (old_engine != new_engine) {
-    d.lenient_exact = true;
-    d.add(DiffClass::kNote, "bench-diff-engine-mismatch", "config.lp_engine",
-          "'" + old_engine + "' vs '" + new_engine +
-              "' — deterministic counter comparisons demoted to notes");
-  }
-
   const double num_seeds = num_or(walk(old_doc, {"config", "seeds"}), 1.0);
   const double sqrt_k = std::sqrt(std::max(1.0, num_seeds));
 
@@ -359,18 +329,8 @@ DiffResult diff_sweeps(const json::Value& old_doc, const json::Value& new_doc,
         const std::string metric = "histograms." + name + "." + pct;
         const double band = opt.hist_rel * std::max(std::abs(o), 1.0);
         if (n > o + band) {
-          // Count-valued histograms (iterations, events) are a work PROFILE,
-          // not a timing: across engines the profile legitimately differs
-          // (e.g. revised simplex trades more, cheaper iterations), so the
-          // cross-engine comparison demotes those shifts alongside counters.
-          // Time histograms keep gating — wall time is engine-agnostic.
-          if (d.lenient_exact && !time_histogram(name)) {
-            d.add(DiffClass::kNote, "bench-diff-hist-drift", metric,
-                  Differ::fmt_pair(o, n, band));
-          } else {
-            d.add(DiffClass::kRegression, "bench-diff-hist-regression", metric,
-                  Differ::fmt_pair(o, n, band));
-          }
+          d.add(DiffClass::kRegression, "bench-diff-hist-regression", metric,
+                Differ::fmt_pair(o, n, band));
         } else if (n < o - band) {
           d.add(DiffClass::kImprovement, "bench-diff-time-improvement", metric,
                 Differ::fmt_pair(o, n, band));

@@ -32,16 +32,10 @@ lp::Problem random_lp(int n, int m, std::uint64_t seed) {
   return p;
 }
 
-// Head-to-head: the second argument selects the engine (0 = tableau
-// reference, 1 = revised). Counters expose the work profile per iteration —
-// pivots, refactorizations, FTRAN/BTRAN solves (revised only) — so a bench
-// diff shows WHERE the engines spend, not just how long.
-lp::EngineKind engine_arg(const benchmark::State& state) {
-  return state.range(1) == 0 ? lp::EngineKind::kTableau : lp::EngineKind::kRevised;
-}
-
-void report_lp_counters(benchmark::State& state, const lp::Simplex& eng) {
-  const lp::Simplex::Counters& c = eng.counters();
+// Counters expose the work profile per iteration — pivots,
+// refactorizations, FTRAN/BTRAN solves — so a bench diff shows WHERE the
+// engine spends, not just how long.
+void report_lp_counters(benchmark::State& state, const lp::Simplex::Counters& c) {
   state.counters["pivots"] = static_cast<double>(c.pivots);
   state.counters["refactor"] = static_cast<double>(c.refactorizations);
   state.counters["ftran"] = static_cast<double>(c.ftrans);
@@ -51,30 +45,21 @@ void report_lp_counters(benchmark::State& state, const lp::Simplex& eng) {
 void BM_SimplexSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const lp::Problem p = random_lp(n, n / 2, 42);
-  lp::Simplex::Options opt;
-  opt.engine = engine_arg(state);
   lp::Simplex::Counters last;
   for (auto _ : state) {
-    lp::Simplex eng(p, opt);
+    lp::Simplex eng(p);
     benchmark::DoNotOptimize(eng.solve());
     last = eng.counters();
   }
-  state.counters["pivots"] = static_cast<double>(last.pivots);
-  state.counters["refactor"] = static_cast<double>(last.refactorizations);
-  state.counters["ftran"] = static_cast<double>(last.ftrans);
-  state.counters["btran"] = static_cast<double>(last.btrans);
-  state.SetLabel(std::to_string(n) + " vars, " + lp::to_string(opt.engine));
+  report_lp_counters(state, last);
+  state.SetLabel(std::to_string(n) + " vars");
 }
-BENCHMARK(BM_SimplexSolve)
-    ->ArgsProduct({{20, 60, 150, 400}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SimplexSolve)->Arg(20)->Arg(60)->Arg(150)->Arg(400)->Unit(benchmark::kMicrosecond);
 
 void BM_SimplexDualResolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const lp::Problem p = random_lp(n, n / 2, 43);
-  lp::Simplex::Options opt;
-  opt.engine = engine_arg(state);
-  lp::Simplex eng(p, opt);
+  lp::Simplex eng(p);
   if (eng.solve() != lp::SolveStatus::kOptimal) state.SkipWithError("base LP not optimal");
   Prng g(7);
   for (auto _ : state) {
@@ -85,12 +70,10 @@ void BM_SimplexDualResolve(benchmark::State& state) {
     eng.set_bound(j, 0.0, 1.0);
     benchmark::DoNotOptimize(eng.dual_resolve());
   }
-  report_lp_counters(state, eng);
-  state.SetLabel(std::to_string(n) + " vars, " + lp::to_string(opt.engine));
+  report_lp_counters(state, eng.counters());
+  state.SetLabel(std::to_string(n) + " vars");
 }
-BENCHMARK(BM_SimplexDualResolve)
-    ->ArgsProduct({{60, 150}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SimplexDualResolve)->Arg(60)->Arg(150)->Unit(benchmark::kMicrosecond);
 
 void BM_BranchAndBoundKnapsack(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -28,7 +28,7 @@ struct SolveOut {
 /// single-threaded internally, so the serial and pooled phases do the same
 /// work and must reach the same result.
 SolveOut solve_one(const Scale& base, std::uint64_t seed, double time_limit_s,
-                   bool presolve, lp::EngineKind lp_engine) {
+                   bool presolve) {
   Scale sc = base;
   sc.seed = seed;
   const auto p = make_instance(sc);
@@ -42,7 +42,6 @@ SolveOut solve_one(const Scale& base, std::uint64_t seed, double time_limit_s,
   mopt.time_limit_s = time_limit_s;
   mopt.num_threads = 1;
   mopt.presolve = presolve;
-  mopt.lp_engine = lp_engine;
   if (warm.feasible) {
     warm_point = f.encode(warm.solution);
     mopt.warm_start = &warm_point;
@@ -113,7 +112,7 @@ SweepResult run_sweep(const SweepOptions& opt) {
   for (int i = 0; i < k; ++i) {
     SweepSeed& s = out.seeds[static_cast<std::size_t>(i)];
     const std::map<std::string, long long> before = obs::local_counter_totals();
-    const SolveOut r = solve_one(opt.scale, s.seed, opt.time_limit_s, /*presolve=*/true, opt.lp_engine);
+    const SolveOut r = solve_one(opt.scale, s.seed, opt.time_limit_s, /*presolve=*/true);
     s.counters = counter_delta(before, obs::local_counter_totals());
     s.serial_s = r.seconds;
     s.serial_obj = r.obj;
@@ -141,7 +140,7 @@ SweepResult run_sweep(const SweepOptions& opt) {
   for (int i = 0; i < k; ++i) {
     SweepSeed& s = out.seeds[static_cast<std::size_t>(i)];
     const std::map<std::string, long long> before = obs::local_counter_totals();
-    const SolveOut r = solve_one(opt.scale, s.seed, opt.time_limit_s, /*presolve=*/false, opt.lp_engine);
+    const SolveOut r = solve_one(opt.scale, s.seed, opt.time_limit_s, /*presolve=*/false);
     s.presolve_off_counters = counter_delta(before, obs::local_counter_totals());
     s.presolve_off_s = r.seconds;
     s.presolve_off_obj = r.obj;
@@ -168,7 +167,7 @@ SweepResult run_sweep(const SweepOptions& opt) {
       const std::int64_t task_start_ns = obs::now_ns();
       SweepSeed& s = out.seeds[static_cast<std::size_t>(i)];
       const std::map<std::string, long long> before = obs::local_counter_totals();
-      const SolveOut r = solve_one(opt.scale, s.seed, opt.time_limit_s, /*presolve=*/true, opt.lp_engine);
+      const SolveOut r = solve_one(opt.scale, s.seed, opt.time_limit_s, /*presolve=*/true);
       s.parallel_counters = counter_delta(before, obs::local_counter_totals());
       s.parallel_s = r.seconds;
       s.parallel_obj = r.obj;
@@ -301,8 +300,7 @@ json::Value SweepResult::to_json(const SweepOptions& opt) const {
                     {"num_tasks", opt.scale.num_tasks},
                     {"rows", opt.scale.rows},
                     {"cols", opt.scale.cols},
-                    {"levels", opt.scale.levels},
-                    {"lp_engine", std::string(lp::to_string(opt.lp_engine))}}},
+                    {"levels", opt.scale.levels}}},
       {"serial", json::Object{{"wall_clock_s", serial_wall_s},
                               {"nodes", serial_node_total},
                               {"nodes_per_s", serial_nodes_per_s},

@@ -35,9 +35,6 @@ struct SweepOptions {
   int threads = 0;                ///< pool width; 0 = ThreadPool::default_threads()
   double time_limit_s = 30.0;     ///< wall-clock cap per MILP solve
   Scale scale = sweep_scale();    ///< instance shape (seed is overridden per run)
-  /// LP engine driving every MILP relaxation in all three phases (recorded in
-  /// the result's config block so bench-diff can tell engines apart).
-  lp::EngineKind lp_engine = lp::EngineKind::kRevised;
   bool verbose = true;            ///< per-seed progress on stdout
 };
 

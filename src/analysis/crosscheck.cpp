@@ -131,7 +131,6 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
   mopt.time_limit_s = opt.milp_time_limit_s;
   mopt.num_threads = opt.num_threads;
   mopt.presolve = opt.presolve;
-  mopt.lp_engine = opt.lp_engine;
   if (opt.presolve) mopt.instance_reductions = &ipre.log;
   mopt.warm_start = &warm_point;
   mopt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* cand) {

@@ -78,9 +78,6 @@ struct CrosscheckOptions {
   /// Iteration budget for the annealing leg; 0 disables it. Annealing is
   /// incomplete, so an infeasible outcome is a warning, not a defect.
   int anneal_iterations = 6000;
-  /// Simplex implementation for every LP in the pipeline
-  /// (milp::MipOptions::lp_engine): revised (default) or tableau.
-  lp::EngineKind lp_engine = lp::EngineKind::kRevised;
   bool verbose = false;       ///< per-seed progress on stdout
 };
 

@@ -53,9 +53,9 @@ class NodeResolver {
     // replay visits nodes in LOG order, so consecutive domains differ in many
     // bounds at once: a warm dual re-solve from the previous node's basis is
     // routinely orders of magnitude SLOWER than a cold solve here, and a
-    // drifted warm tableau is exactly the failure mode this prover exists to
-    // distrust (it produced both false node bounds and false infeasibility
-    // verdicts in the engine before the cold-confirm fixes).
+    // drifted warm factorization is exactly the failure mode this prover
+    // exists to distrust (it produced both false node bounds and false
+    // infeasibility verdicts in the engine before the cold-confirm fixes).
     return eng_.solve();
   }
 

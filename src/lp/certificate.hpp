@@ -14,8 +14,8 @@
 //     yᵀb. Both phase-1 termination and a dual-simplex breakdown row yield
 //     such a ray.
 //
-// The duals are recomputed from the tableau and the ORIGINAL problem data at
-// extraction time (y_k = Σ_r c_B[r]·(B⁻¹)_{rk}), not read from the engine's
+// The duals are recomputed from the basis factors and the ORIGINAL problem
+// data at extraction time (y = B⁻ᵀc_B, one BTRAN), not read from the engine's
 // incrementally-updated reduced costs, so certificate quality does not decay
 // with pivot count.
 #pragma once

@@ -1,16 +1,9 @@
-// Simplex facade: owns the Options, constructs the selected engine behind
-// detail::EngineImpl (lp/engine_iface.hpp) and forwards the public API.
-// The engines live in simplex_tableau.cpp (dense reference) and
-// simplex_revised.cpp (sparse LU production path). One-shot wrappers
-// (solve_lp / solve_lp_certified) and the telemetry export also live here so
-// both engines share one presolve and counter pipeline.
+// One-shot LP entry points (solve_lp / solve_lp_certified) and the
+// telemetry export. The Simplex facade itself and its engine live in
+// simplex_revised.cpp.
 #include "lp/simplex.hpp"
 
-#include <string>
-
-#include "common/check.hpp"
 #include "lp/certificate.hpp"
-#include "lp/engine_iface.hpp"
 #include "lp/presolve.hpp"
 #include "obs/obs.hpp"
 
@@ -26,104 +19,11 @@ const char* to_string(SolveStatus s) {
   return "?";
 }
 
-const char* to_string(EngineKind k) {
-  switch (k) {
-    case EngineKind::kTableau: return "tableau";
-    case EngineKind::kRevised: return "revised";
-  }
-  return "?";
-}
-
-bool engine_kind_from_string(const std::string& s, EngineKind* out) {
-  ND_REQUIRE(out != nullptr, "engine_kind_from_string: null output");
-  if (s == "tableau") {
-    *out = EngineKind::kTableau;
-    return true;
-  }
-  if (s == "revised") {
-    *out = EngineKind::kRevised;
-    return true;
-  }
-  return false;
-}
-
 namespace {
-std::unique_ptr<detail::EngineImpl> make_engine(const Problem& p,
-                                                const Simplex::Options& opt) {
-  switch (opt.engine) {
-    case EngineKind::kTableau: return detail::make_tableau_engine(p, opt);
-    case EngineKind::kRevised: return detail::make_revised_engine(p, opt);
-  }
-  ND_REQUIRE(false, "unknown EngineKind");
-  return nullptr;
-}
-}  // namespace
 
-Simplex::Simplex(const Problem& p) : Simplex(p, Options()) {}
-
-Simplex::Simplex(const Problem& p, Options opt)
-    : opt_(opt), impl_(make_engine(p, opt)) {}
-
-Simplex::Simplex(Simplex&&) noexcept = default;
-Simplex& Simplex::operator=(Simplex&&) noexcept = default;
-Simplex::~Simplex() = default;
-
-void Simplex::set_deadline(std::chrono::steady_clock::time_point t) {
-  opt_.deadline = t;
-  impl_->set_deadline(t);
-}
-
-SolveStatus Simplex::solve() { return impl_->solve(); }
-SolveStatus Simplex::dual_resolve() { return impl_->dual_resolve(); }
-void Simplex::set_bound(int j, double lo, double hi) { impl_->set_bound(j, lo, hi); }
-
-double Simplex::bound_lo(int j) const { return impl_->bound_lo(j); }
-double Simplex::bound_hi(int j) const { return impl_->bound_hi(j); }
-double Simplex::objective() const { return impl_->objective(); }
-std::vector<double> Simplex::solution() const { return impl_->solution(); }
-double Simplex::value(int j) const { return impl_->value(j); }
-double Simplex::reduced_cost(int j) const { return impl_->reduced_cost(j); }
-VarStatus Simplex::var_status(int j) const { return impl_->var_status(j); }
-int Simplex::iterations() const { return impl_->iterations(); }
-const Simplex::Counters& Simplex::counters() const { return impl_->counters(); }
-long long Simplex::tableau_bytes() const { return impl_->tableau_bytes(); }
-SolveStatus Simplex::last_status() const { return impl_->last_status(); }
-Certificate Simplex::extract_certificate() const { return impl_->extract_certificate(); }
-
-LpResult solve_lp(const Problem& p, Simplex::Options opt) {
-  if (opt.presolve) {
-    const ReductionLog log = presolve_lp_safe(p);
-    if (!log.reductions.empty()) {
-      PresolvedLp map = apply_reductions(p, log);
-      if (map.infeasible) {
-        LpResult res;
-        res.status = SolveStatus::kInfeasible;
-        return res;
-      }
-      if (map.reduced.num_vars() == 0) {
-        // Every column pinned: the point is fully determined by the log.
-        bool feasible = true;
-        (void)trivial_certificate(map.reduced, &feasible);
-        LpResult res;
-        res.status = feasible ? SolveStatus::kOptimal : SolveStatus::kInfeasible;
-        if (feasible) {
-          res.obj = map.obj_shift;
-          res.x = lift_point(map, {});
-        }
-        return res;
-      }
-      Simplex::Options inner = opt;
-      inner.presolve = false;
-      LpResult res = solve_lp(map.reduced, inner);
-      if (res.status == SolveStatus::kOptimal) {
-        res.obj += map.obj_shift;
-        res.x = lift_point(map, res.x);
-      } else {
-        res.x.clear();
-      }
-      return res;
-    }
-  }
+/// One engine, one cold solve of `p` as given (no presolve). When `cert` is
+/// set it receives the engine's certificate for that solve.
+LpResult solve_direct(const Problem& p, const Simplex::Options& opt, Certificate* cert) {
   Simplex engine(p, opt);
   LpResult res;
   res.status = engine.solve();
@@ -132,8 +32,62 @@ LpResult solve_lp(const Problem& p, Simplex::Options opt) {
     res.obj = engine.objective();
     res.x = engine.solution();
   }
+  if (cert != nullptr) *cert = engine.extract_certificate();
   emit_lp_counters(engine);
   return res;
+}
+
+/// Certificate-safe presolve (lp/presolve.hpp), a direct solve of the
+/// reduced problem, and the lift back to the original space. The
+/// certificate is built and lifted only when `certify` is set.
+CertifiedLpResult solve_presolved(const Problem& p, const Simplex::Options& opt,
+                                  bool certify) {
+  CertifiedLpResult out;
+  const ReductionLog log = presolve_lp_safe(p);
+  if (log.reductions.empty()) {
+    out.result = solve_direct(p, opt, certify ? &out.cert : nullptr);
+    return out;
+  }
+  PresolvedLp map = apply_reductions(p, log);
+  if (map.infeasible) {
+    // A contradiction among pinned columns (e.g. an equality row whose
+    // variables are all fixed to an unsatisfiable residual). There is no
+    // Farkas ray to lift; callers see kInfeasible with an empty ray.
+    out.result.status = SolveStatus::kInfeasible;
+    out.cert.status = SolveStatus::kInfeasible;
+    return out;
+  }
+  if (map.reduced.num_vars() == 0) {
+    // Every column pinned: the point is fully determined by the log.
+    bool feasible = true;
+    const Certificate reduced_cert = trivial_certificate(map.reduced, &feasible);
+    out.result.status = feasible ? SolveStatus::kOptimal : SolveStatus::kInfeasible;
+    if (feasible) {
+      out.result.obj = map.obj_shift;
+      out.result.x = lift_point(map, {});
+    }
+    if (certify) out.cert = lift_certificate(map, p, reduced_cert);
+    return out;
+  }
+  out.result = solve_direct(map.reduced, opt, certify ? &out.cert : nullptr);
+  if (out.result.status == SolveStatus::kOptimal) {
+    out.result.obj += map.obj_shift;
+    out.result.x = lift_point(map, out.result.x);
+  } else {
+    out.result.x.clear();
+  }
+  if (certify) out.cert = lift_certificate(map, p, out.cert);
+  return out;
+}
+
+}  // namespace
+
+LpResult solve_lp(const Problem& p, Simplex::Options opt) {
+  return solve_presolved(p, opt, /*certify=*/false).result;
+}
+
+CertifiedLpResult solve_lp_certified(const Problem& p, Simplex::Options opt) {
+  return solve_presolved(p, opt, /*certify=*/true);
 }
 
 void emit_lp_counters(const Simplex& engine) {
@@ -146,9 +100,6 @@ void emit_lp_counters(const Simplex& engine) {
   ND_OBS_COUNT("lp.pivots", c.pivots);
   ND_OBS_COUNT("lp.bound_flips", c.bound_flips);
   ND_OBS_COUNT("lp.bland_activations", c.bland_activations);
-  ND_OBS_COUNT("lp.refactorizations", c.refactorizations);
-  // ISSUE-10 spelling of the same tally, so dashboards keyed on the
-  // lp.refactor.* family see both engines uniformly.
   ND_OBS_COUNT("lp.refactor.count", c.refactorizations);
   ND_OBS_COUNT("lp.refactor.fill", c.refactor_fill);
   ND_OBS_COUNT("lp.ftran.count", c.ftrans);
@@ -157,66 +108,12 @@ void emit_lp_counters(const Simplex& engine) {
   ND_OBS_COUNT("lp.phase1_iterations", c.phase1_iters);
   ND_OBS_COUNT("lp.phase2_iterations", c.phase2_iters);
   // Cumulative engine allocation: memory as a first-class metric next to the
-  // time counters (docs/observability.md, "Memory"). Under the revised
-  // engine this is sparse matrix + LU factors + eta file rather than the
-  // dense tableau, but the counter keeps its historical name.
-  ND_OBS_COUNT("mem.lp.tableau_bytes", engine.tableau_bytes());
+  // time counters (docs/observability.md, "Memory").
+  ND_OBS_COUNT("mem.lp.engine_bytes", engine.memory_bytes());
   ND_OBS_HIST("lp.iters_per_solve", engine.iterations());
 #else
   (void)engine;
 #endif
-}
-
-CertifiedLpResult solve_lp_certified(const Problem& p, Simplex::Options opt) {
-  if (opt.presolve) {
-    const ReductionLog log = presolve_lp_safe(p);
-    if (!log.reductions.empty()) {
-      PresolvedLp map = apply_reductions(p, log);
-      if (map.infeasible) {
-        // A contradiction among pinned columns (e.g. an equality row whose
-        // variables are all fixed to an unsatisfiable residual). There is no
-        // Farkas ray to lift; callers see kInfeasible with an empty ray.
-        CertifiedLpResult out;
-        out.result.status = SolveStatus::kInfeasible;
-        out.cert.status = SolveStatus::kInfeasible;
-        return out;
-      }
-      if (map.reduced.num_vars() == 0) {
-        bool feasible = true;
-        const Certificate reduced_cert = trivial_certificate(map.reduced, &feasible);
-        CertifiedLpResult out;
-        out.result.status = feasible ? SolveStatus::kOptimal : SolveStatus::kInfeasible;
-        if (feasible) {
-          out.result.obj = map.obj_shift;
-          out.result.x = lift_point(map, {});
-        }
-        out.cert = lift_certificate(map, p, reduced_cert);
-        return out;
-      }
-      Simplex::Options inner = opt;
-      inner.presolve = false;
-      CertifiedLpResult out = solve_lp_certified(map.reduced, inner);
-      if (out.result.status == SolveStatus::kOptimal) {
-        out.result.obj += map.obj_shift;
-        out.result.x = lift_point(map, out.result.x);
-      } else {
-        out.result.x.clear();
-      }
-      out.cert = lift_certificate(map, p, out.cert);
-      return out;
-    }
-  }
-  Simplex engine(p, opt);
-  CertifiedLpResult out;
-  out.result.status = engine.solve();
-  out.result.iterations = engine.iterations();
-  if (out.result.status == SolveStatus::kOptimal) {
-    out.result.obj = engine.objective();
-    out.result.x = engine.solution();
-  }
-  out.cert = engine.extract_certificate();
-  emit_lp_counters(engine);
-  return out;
 }
 
 }  // namespace nd::lp

@@ -1,25 +1,18 @@
-// Bounded-variable two-phase simplex with a pluggable engine.
+// Bounded-variable two-phase revised simplex.
 //
-// Two engines implement the same external contract behind the `Simplex`
-// facade (selected by Options::engine, default kRevised):
-//  * kRevised (lp/simplex_revised.cpp): revised simplex over the shared
-//    sparse CSC/CSR matrix (lp/sparse.hpp) with an LU-factorized basis and
-//    product-form eta updates (lp/basis_lu.hpp), FTRAN/BTRAN solves instead
-//    of tableau maintenance, and devex pricing with the Bland anti-cycling
-//    fallback. This is the production hot path.
-//  * kTableau (lp/simplex_tableau.cpp): the original dense-tableau engine,
-//    kept as a differential-testing reference — Dantzig pricing, full B⁻¹A
-//    maintained across pivots.
+// `Simplex` owns one engine (lp/simplex_revised.cpp): revised simplex over
+// the shared sparse CSC/CSR matrix (lp/sparse.hpp) with an LU-factorized
+// basis and product-form eta updates (lp/basis_lu.hpp), FTRAN/BTRAN solves,
+// and devex pricing with the Bland anti-cycling fallback.
 //
-// Shared design (see DESIGN.md §2 and docs/solver.md):
+// Design (see DESIGN.md §2 and docs/solver.md):
 //  * Internal form: every user row becomes an equality `aᵀx + s = rhs` with a
 //    slack s bounded by the row sense (LE: [0, +inf), GE: (-inf, 0],
 //    EQ: [0, 0]); one artificial column per row provides the phase-1 basis.
 //  * A branch-and-bound driver keeps ONE engine alive for the whole tree:
 //    branching only changes variable bounds, which keeps the basis
 //    dual-feasible, and `dual_resolve()` repairs primal feasibility in a
-//    handful of pivots (warm bases map onto the factorization in the revised
-//    engine; the tableau engine re-reads its maintained inverse).
+//    handful of pivots on top of the standing factorization.
 //  * Periodic residual checks trigger a refactorization when numerical drift
 //    exceeds tolerance.
 //
@@ -30,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/invariants.hpp"
@@ -50,55 +42,32 @@ const char* to_string(SolveStatus s);
 /// Variable position relative to the basis.
 enum class VarStatus : std::uint8_t { kBasic, kAtLower, kAtUpper };
 
-/// Which simplex implementation backs the facade.
-enum class EngineKind : std::uint8_t {
-  kTableau,  ///< dense tableau (differential-testing reference)
-  kRevised,  ///< sparse revised simplex with LU basis (default)
-};
-
-const char* to_string(EngineKind k);
-/// Parse "tableau" / "revised" (CLI flag values); false on anything else.
-bool engine_kind_from_string(const std::string& s, EngineKind* out);
-
-/// Primal pricing rule of the revised engine (the tableau engine is always
-/// Dantzig). Devex needs fewer pivots on cold solves; Dantzig reproduces the
-/// reference engine's pivot selection, so both engines land on the SAME
-/// optimal vertex of a degenerate face — which is what branch-and-bound
-/// branches on, making the trees comparable across engines.
+/// Primal pricing rule. Devex needs fewer pivots on cold solves; Dantzig is
+/// what branch-and-bound pins: on a degenerate optimal face the pricing rule
+/// decides which vertex the node LP lands on, hence which variable is
+/// fractional and the shape of the whole tree (docs/solver.md).
 enum class Pricing : std::uint8_t {
   kDevex,    ///< largest d² / reference weight (default)
-  kDantzig,  ///< largest |d|, first index on ties (reference-engine parity)
+  kDantzig,  ///< largest |d|, first index on ties
 };
 
 struct Certificate;  // lp/certificate.hpp
 
 namespace detail {
-class EngineImpl;  // lp/engine_iface.hpp
+class RevisedEngine;  // lp/simplex_revised.cpp
 }  // namespace detail
 
 class Simplex {
  public:
   struct Options {
-    double tol = 1e-7;        ///< primal/dual feasibility tolerance
-    int max_iters = 200000;   ///< pivot limit per solve call
-    int bland_after = 400;    ///< consecutive degenerate pivots before Bland
-    int recheck_every = 4096; ///< pivots between numerical residual checks
-    /// Optional wall-clock deadline (checked every 128 pivots); expiry makes
-    /// the current loop return kIterLimit. Used by branch-and-bound so one
-    /// pathological LP cannot overrun the global time limit.
-    std::chrono::steady_clock::time_point deadline{};
-    /// One-shot entry points (solve_lp / solve_lp_certified) run the
-    /// certificate-safe presolve (lp/presolve.hpp) and solve the reduced
-    /// problem, lifting the point/certificate back. The Simplex engine
-    /// itself ignores this flag — branch-and-bound presolves once at the
-    /// root (milp::MipOptions::presolve), not per node.
-    bool presolve = true;
-    /// Which implementation to construct (see EngineKind).
-    EngineKind engine = EngineKind::kRevised;
-    /// Primal pricing rule (revised engine only; the tableau ignores it).
-    Pricing pricing = Pricing::kDevex;
+    int max_iters = 200000;             ///< pivot limit per solve call
+    Pricing pricing = Pricing::kDevex;  ///< primal pricing rule
   };
 
+  /// Optional wall-clock deadline (checked every 128 pivots); expiry makes
+  /// the current loop return kIterLimit, and a default-constructed time
+  /// point clears it. Used by branch-and-bound so one pathological LP cannot
+  /// overrun the global time limit.
   void set_deadline(std::chrono::steady_clock::time_point t);
 
   explicit Simplex(const Problem& p);
@@ -147,10 +116,10 @@ class Simplex {
     long long pivots = 0;            ///< basis-changing pivots
     long long bound_flips = 0;       ///< nonbasic bound-to-bound moves
     long long bland_activations = 0; ///< devex/Dantzig → Bland pricing switches
-    long long refactorizations = 0;  ///< basis refactorizations (both engines)
+    long long refactorizations = 0;  ///< basis refactorizations
     long long phase1_iters = 0;      ///< iterations inside phase-1 loops
     long long phase2_iters = 0;      ///< iterations inside phase-2 loops
-    // Revised-engine factorization work (zero under the tableau engine).
+    // Factorization work.
     long long ftrans = 0;            ///< FTRAN solves (B x = b)
     long long btrans = 0;            ///< BTRAN solves (Bᵀ y = c)
     long long eta_updates = 0;       ///< product-form basis updates absorbed
@@ -158,34 +127,28 @@ class Simplex {
   };
   [[nodiscard]] const Counters& counters() const;
 
-  /// Dominant heap footprint of the engine in bytes: the dense tableau
-  /// (m x nt doubles) or the sparse matrix + LU factors + eta file. Feeds
-  /// the mem.lp.tableau_bytes telemetry counter.
-  [[nodiscard]] long long tableau_bytes() const;
+  /// Dominant heap footprint of the engine in bytes: the sparse matrix and
+  /// its row view, the LU factors and the eta file. Feeds the
+  /// mem.lp.engine_bytes telemetry counter.
+  [[nodiscard]] long long memory_bytes() const;
 
   /// Status of the most recent solve()/dual_resolve() call.
   [[nodiscard]] SolveStatus last_status() const;
 
-  /// Which engine this instance runs.
-  [[nodiscard]] EngineKind engine_kind() const { return opt_.engine; }
-
   /// Build a certificate for the most recent solve: row duals y = c_BᵀB⁻¹
-  /// (tableau read-off or BTRAN) and reduced costs recomputed from the
-  /// ORIGINAL data (d = c − Aᵀy) on kOptimal; a Farkas ray on kInfeasible
-  /// (phase-1 duals, or ±row of B⁻¹ at a dual-simplex breakdown row). The
+  /// (one BTRAN) and reduced costs recomputed from the ORIGINAL data
+  /// (d = c − Aᵀy) on kOptimal; a Farkas ray on kInfeasible (phase-1 duals,
+  /// or ±row of B⁻¹ at a dual-simplex breakdown row). The
   /// certificate is relative to the engine's CURRENT variable bounds —
   /// identical to the problem's unless set_bound() was used.
   [[nodiscard]] Certificate extract_certificate() const;
 
  private:
-  Options opt_;
-  std::unique_ptr<detail::EngineImpl> impl_;
+  std::unique_ptr<detail::RevisedEngine> impl_;
 };
 
-/// ISSUE-10 spelling: the engine-selection seam lives on the LP options.
-using LpOptions = Simplex::Options;
-
-/// One-shot convenience: build an engine, solve, return (status, obj, x).
+/// One-shot convenience: presolve (lp/presolve.hpp), build an engine, solve
+/// the reduced problem and lift the point back; returns (status, obj, x).
 struct LpResult {
   SolveStatus status = SolveStatus::kIterLimit;
   double obj = 0.0;

@@ -1,4 +1,4 @@
-// Revised simplex engine: the production hot path behind the Simplex facade.
+// Revised simplex engine: the implementation behind the Simplex facade.
 //
 // Instead of maintaining the dense tableau B⁻¹A across pivots (O(m·(n+m))
 // per pivot), this engine keeps the constraint matrix in the shared sparse
@@ -9,32 +9,29 @@
 //   * a sparse pivot-row scatter over the CSR view for the reduced-cost and
 //     devex weight updates.
 // Pricing is devex (reference weights reset per primal loop) by default,
-// with Dantzig selectable via Options::pricing for pivot-selection parity
-// with the reference engine (branch-and-bound asks for it — the tree shape
-// follows the LP vertex), and the same Bland anti-cycling fallback and
-// trigger policy as the tableau engine.
-//
-// The external contract — phase-1 artificial handling, warm-start
-// dual_resolve semantics, certificate extraction, counter meanings — is
-// deliberately bit-compatible in STRUCTURE with simplex_tableau.cpp (same
-// column layout, same status transitions, same tolerance policy), so the two
-// engines are differential-testable: equal statuses and objectives, and both
-// certificates pass the exact checkers. Pivot ORDER differs (devex vs
-// Dantzig), so bases may legitimately differ between engines.
+// with Dantzig selectable via Options::pricing (branch-and-bound asks for it
+// — the tree shape follows the LP vertex), and a Bland anti-cycling
+// fallback. Its certificates are what the exact layer re-proves at zero
+// tolerance (analysis/exact/certify_lp_exact, certify_bnb_exact).
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
 #include "lp/basis_lu.hpp"
 #include "lp/certificate.hpp"
-#include "lp/engine_iface.hpp"
+#include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
 
-namespace nd::lp::detail {
+namespace nd::lp {
 
 namespace {
+constexpr double kTol = 1e-7;         ///< primal/dual feasibility tolerance
+constexpr int kBlandAfter = 400;      ///< consecutive degenerate pivots before Bland
+constexpr int kRecheckEvery = 4096;   ///< pivots between numerical residual checks
 constexpr double kPivotTol = 1e-9;
 constexpr double kDegenStep = 1e-12;
 
@@ -43,37 +40,39 @@ bool past_deadline(const std::chrono::steady_clock::time_point& deadline, int it
   if (iters % 128 != 1) return false;  // checks on iteration 1, 129, 257, ...
   return std::chrono::steady_clock::now() > deadline;
 }
+}  // namespace
 
-class RevisedEngine final : public EngineImpl {
+namespace detail {
+
+class RevisedEngine {
  public:
   RevisedEngine(const Problem& p, Simplex::Options opt);
 
-  SolveStatus solve() override;
-  SolveStatus dual_resolve() override;
-  void set_bound(int j, double lo, double hi) override;
-  void set_deadline(std::chrono::steady_clock::time_point t) override { opt_.deadline = t; }
+  SolveStatus solve();
+  SolveStatus dual_resolve();
+  void set_bound(int j, double lo, double hi);
+  void set_deadline(std::chrono::steady_clock::time_point t) { deadline_ = t; }
 
-  [[nodiscard]] double bound_lo(int j) const override { return lo_[static_cast<std::size_t>(j)]; }
-  [[nodiscard]] double bound_hi(int j) const override { return hi_[static_cast<std::size_t>(j)]; }
-  [[nodiscard]] double objective() const override;
-  [[nodiscard]] std::vector<double> solution() const override;
-  [[nodiscard]] double value(int j) const override {
+  [[nodiscard]] double bound_lo(int j) const { return lo_[static_cast<std::size_t>(j)]; }
+  [[nodiscard]] double bound_hi(int j) const { return hi_[static_cast<std::size_t>(j)]; }
+  [[nodiscard]] double objective() const;
+  [[nodiscard]] std::vector<double> solution() const;
+  [[nodiscard]] double value(int j) const {
     ensure_values();
     return xval_[static_cast<std::size_t>(j)];
   }
-  [[nodiscard]] double reduced_cost(int j) const override { return d_[static_cast<std::size_t>(j)]; }
-  [[nodiscard]] VarStatus var_status(int j) const override { return stat_[static_cast<std::size_t>(j)]; }
-  [[nodiscard]] int iterations() const override { return total_iters_; }
-  [[nodiscard]] const Simplex::Counters& counters() const override { return counters_; }
-  [[nodiscard]] long long tableau_bytes() const override {
+  [[nodiscard]] double reduced_cost(int j) const { return d_[static_cast<std::size_t>(j)]; }
+  [[nodiscard]] VarStatus var_status(int j) const { return stat_[static_cast<std::size_t>(j)]; }
+  [[nodiscard]] int iterations() const { return total_iters_; }
+  [[nodiscard]] const Simplex::Counters& counters() const { return counters_; }
+  [[nodiscard]] long long memory_bytes() const {
     return a_.bytes() + at_.bytes() + lu_.bytes();
   }
-  [[nodiscard]] SolveStatus last_status() const override { return last_status_; }
-  [[nodiscard]] Certificate extract_certificate() const override;
+  [[nodiscard]] SolveStatus last_status() const { return last_status_; }
+  [[nodiscard]] Certificate extract_certificate() const;
 
  private:
-  // Column layout (shared with the tableau engine): [0, n) structural,
-  // [n, n+m) slack, [n+m, n+2m) artificial.
+  // Column layout: [0, n) structural, [n, n+m) slack, [n+m, n+2m) artificial.
   [[nodiscard]] int slack_col(int r) const { return n_ + r; }
   [[nodiscard]] int art_col(int r) const { return n_ + m_ + r; }
 
@@ -130,6 +129,7 @@ class RevisedEngine final : public EngineImpl {
 #endif
 
   Simplex::Options opt_;
+  std::chrono::steady_clock::time_point deadline_{};  ///< zero: no deadline
   int n_ = 0;   // structural vars
   int m_ = 0;   // rows
   int nt_ = 0;  // total columns = n + 2m
@@ -264,7 +264,7 @@ void RevisedEngine::build_initial_basis() {
     const int ac = art_col(r);
     const auto scu = static_cast<std::size_t>(sc);
     const auto acu = static_cast<std::size_t>(ac);
-    if (res >= lo_[scu] - opt_.tol && res <= hi_[scu] + opt_.tol) {
+    if (res >= lo_[scu] - kTol && res <= hi_[scu] + kTol) {
       // Slack absorbs the residual: row starts feasible.
       basis_[static_cast<std::size_t>(r)] = sc;
       stat_[scu] = VarStatus::kBasic;
@@ -426,10 +426,9 @@ RevisedEngine::PivotOutcome RevisedEngine::pivot(int r, int q, double leave_targ
     // Hysteresis: the exchange was already CHOSEN by the ratio test (pivot
     // above kPivotTol in the FTRAN image), so the fresh LU only has to be
     // usable, not comfortable — the envelope-margin floor rejects true
-    // singularity and nothing else. A marginal basis here is what the
-    // tableau engine would have pivoted into anyway; the strict kPivotTol
-    // floor stays on the STANDING-basis refactorizations, where failure has
-    // a cheap cold-solve fallback instead of a pricing dead end.
+    // singularity and nothing else. The strict kPivotTol floor stays on the
+    // STANDING-basis refactorizations, where failure has a cheap cold-solve
+    // fallback instead of a pricing dead end.
     if (fresh.factorize(a_, basis_)) {
       lu_ = std::move(fresh);
       ++counters_.refactorizations;
@@ -524,11 +523,11 @@ bool RevisedEngine::is_nonbasic_eligible_primal(int j, double* dir) const {
   const auto ju = static_cast<std::size_t>(j);
   if (stat_[ju] == VarStatus::kBasic) return false;
   if (hi_[ju] - lo_[ju] <= 0.0) return false;  // fixed
-  if (stat_[ju] == VarStatus::kAtLower && d_[ju] < -opt_.tol) {
+  if (stat_[ju] == VarStatus::kAtLower && d_[ju] < -kTol) {
     *dir = 1.0;
     return true;
   }
-  if (stat_[ju] == VarStatus::kAtUpper && d_[ju] > opt_.tol) {
+  if (stat_[ju] == VarStatus::kAtUpper && d_[ju] > kTol) {
     *dir = -1.0;
     return true;
   }
@@ -555,11 +554,11 @@ SolveStatus RevisedEngine::primal_loop() {
   bool was_bland = false;
   numerical_stuck_ = false;
   while (iters++ < opt_.max_iters) {
-    if (past_deadline(opt_.deadline, iters)) {
+    if (past_deadline(deadline_, iters)) {
       return SolveStatus::kIterLimit;
     }
     const bool bland =
-        force_bland_ || degen_run_ > opt_.bland_after || iters > bland_after_iters;
+        force_bland_ || degen_run_ > kBlandAfter || iters > bland_after_iters;
     if (bland && !was_bland) {
       ++counters_.bland_activations;
       was_bland = true;
@@ -607,12 +606,9 @@ SolveStatus RevisedEngine::primal_loop() {
     ++counters_.ftrans;
 
     // Ratio test on w: minimum limit, with near-ties (1e-12 window) broken
-    // by the largest pivot magnitude. Selection semantics MATCH the tableau
-    // engine pivot for pivot — branch-and-bound branches on the LP vertex,
-    // so a different (equally optimal) vertex changes the tree shape; keeping
-    // the rules identical keeps the engines' trees comparable. Stability for
-    // the factorization side is owned downstream: unstable exchanges are
-    // rejected by the eta floor and repriced via the ban list.
+    // by the largest pivot magnitude. Stability for the factorization side
+    // is owned downstream: unstable exchanges are rejected by the eta floor
+    // and repriced via the ban list.
     const auto qu = static_cast<std::size_t>(q);
     double tmax = hi_[qu] - lo_[qu];  // bound-flip distance (may be inf)
     int leave_row = -1;
@@ -697,8 +693,7 @@ SolveStatus RevisedEngine::primal_loop() {
     }
 #endif
 
-    if (opt_.recheck_every > 0 && total_iters_ % opt_.recheck_every == 0 &&
-        residual() > 1e-6) {
+    if (total_iters_ % kRecheckEvery == 0 && residual() > 1e-6) {
       if (!refactorize()) {
         return SolveStatus::kIterLimit;
       }
@@ -734,10 +729,10 @@ SolveStatus RevisedEngine::dual_loop() {
   int dual_degen_run = 0;
   const int dual_degen_cap = m_ + 100;
   while (iters++ < opt_.max_iters) {
-    if (past_deadline(opt_.deadline, iters)) {
+    if (past_deadline(deadline_, iters)) {
       return SolveStatus::kIterLimit;
     }
-    const bool bland = degen_run_ > opt_.bland_after || iters > bland_after_iters;
+    const bool bland = degen_run_ > kBlandAfter || iters > bland_after_iters;
     if (bland && !was_bland) {
       ++counters_.bland_activations;
       was_bland = true;
@@ -745,7 +740,7 @@ SolveStatus RevisedEngine::dual_loop() {
     // Leaving row: worst primal bound violation among basics (Bland mode:
     // first violated row, which breaks degenerate cycles).
     int r = -1;
-    double worst = opt_.tol;
+    double worst = kTol;
     double target = 0.0;
     bool need_increase = false;
     for (int rr = 0; rr < m_; ++rr) {
@@ -770,8 +765,7 @@ SolveStatus RevisedEngine::dual_loop() {
     // Pivot row r (one BTRAN + CSR scatter), then the bounded dual ratio
     // test: minimum |d/a| with near-ties (1e-12 window) broken by the
     // largest pivot; Bland mode takes the smallest-index column with a
-    // (near-)minimal ratio. Selection semantics MATCH the tableau engine —
-    // same rationale as the primal ratio test above.
+    // (near-)minimal ratio.
     compute_pivot_row(r, &rho, &alpha);
     int q = -1;
     double best_ratio = 0.0;
@@ -846,7 +840,7 @@ SolveStatus RevisedEngine::dual_loop() {
       continue;
     }
     std::fill(banned.begin(), banned.end(), 0);
-    if (std::abs(d_[static_cast<std::size_t>(q)]) <= opt_.tol) {
+    if (std::abs(d_[static_cast<std::size_t>(q)]) <= kTol) {
       if (++dual_degen_run > dual_degen_cap) {
         stalled_ = true;
         return SolveStatus::kIterLimit;
@@ -858,8 +852,7 @@ SolveStatus RevisedEngine::dual_loop() {
     check_basis_consistency();
 #endif
 
-    if (opt_.recheck_every > 0 && total_iters_ % opt_.recheck_every == 0 &&
-        residual() > 1e-6) {
+    if (total_iters_ % kRecheckEvery == 0 && residual() > 1e-6) {
       if (!refactorize()) {
         return SolveStatus::kIterLimit;
       }
@@ -911,7 +904,7 @@ SolveStatus RevisedEngine::solve_impl() {
       const int ac = art_col(r);
       art_sum += std::abs(xval_[static_cast<std::size_t>(ac)]);
     }
-    if (art_sum > opt_.tol * std::max(1.0, static_cast<double>(m_))) {
+    if (art_sum > kTol * std::max(1.0, static_cast<double>(m_))) {
       // cost_ still holds the phase-1 objective: extract_certificate() reads
       // the phase-1 duals as the Farkas ray. As above, this state must not
       // seed a warm resolve.
@@ -955,9 +948,9 @@ SolveStatus RevisedEngine::dual_resolve() {
     // A warm infeasibility verdict rides on the drifted factorization that
     // produced it: with accumulated roundoff the entering-column test can
     // fail spuriously and declare a FEASIBLE node LP infeasible (the exact
-    // audit replay caught branch-and-bound doing exactly that under the
-    // tableau engine). Infeasibility is a pruning decision, so re-derive it
-    // from scratch before reporting it.
+    // audit replay caught branch-and-bound doing exactly that). Infeasibility
+    // is a pruning decision, so re-derive it from scratch before reporting
+    // it.
     s = solve();
   }
   if (s == SolveStatus::kOptimal) {
@@ -1012,7 +1005,7 @@ Certificate RevisedEngine::extract_certificate() const {
   Certificate cert;
   cert.status = last_status_;
   if (last_status_ == SolveStatus::kOptimal) {
-    // y = B⁻ᵀ c_B: one BTRAN instead of the tableau read-off.
+    // y = B⁻ᵀ c_B: one BTRAN.
     std::vector<double> y(static_cast<std::size_t>(m_));
     for (int r = 0; r < m_; ++r) {
       y[static_cast<std::size_t>(r)] =
@@ -1061,11 +1054,35 @@ Certificate RevisedEngine::extract_certificate() const {
   return cert;
 }
 
-}  // namespace
+}  // namespace detail
 
-std::unique_ptr<EngineImpl> make_revised_engine(const Problem& p,
-                                                const Simplex::Options& opt) {
-  return std::make_unique<RevisedEngine>(p, opt);
-}
+// ---------------------------------------------------------------------------
+// Simplex facade: a non-virtual pimpl over RevisedEngine.
+// ---------------------------------------------------------------------------
 
-}  // namespace nd::lp::detail
+Simplex::Simplex(const Problem& p) : Simplex(p, Options()) {}
+Simplex::Simplex(const Problem& p, Options opt)
+    : impl_(std::make_unique<detail::RevisedEngine>(p, opt)) {}
+Simplex::Simplex(Simplex&&) noexcept = default;
+Simplex& Simplex::operator=(Simplex&&) noexcept = default;
+Simplex::~Simplex() = default;
+
+void Simplex::set_deadline(std::chrono::steady_clock::time_point t) { impl_->set_deadline(t); }
+SolveStatus Simplex::solve() { return impl_->solve(); }
+SolveStatus Simplex::dual_resolve() { return impl_->dual_resolve(); }
+void Simplex::set_bound(int j, double lo, double hi) { impl_->set_bound(j, lo, hi); }
+
+double Simplex::bound_lo(int j) const { return impl_->bound_lo(j); }
+double Simplex::bound_hi(int j) const { return impl_->bound_hi(j); }
+double Simplex::objective() const { return impl_->objective(); }
+std::vector<double> Simplex::solution() const { return impl_->solution(); }
+double Simplex::value(int j) const { return impl_->value(j); }
+double Simplex::reduced_cost(int j) const { return impl_->reduced_cost(j); }
+VarStatus Simplex::var_status(int j) const { return impl_->var_status(j); }
+int Simplex::iterations() const { return impl_->iterations(); }
+const Simplex::Counters& Simplex::counters() const { return impl_->counters(); }
+long long Simplex::memory_bytes() const { return impl_->memory_bytes(); }
+SolveStatus Simplex::last_status() const { return impl_->last_status(); }
+Certificate Simplex::extract_certificate() const { return impl_->extract_certificate(); }
+
+}  // namespace nd::lp

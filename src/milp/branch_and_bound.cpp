@@ -138,12 +138,10 @@ MipResult solve(const Model& model, const MipOptions& opt) {
   // degenerate episodes fail fast into the rebuild/cold-solve fallback
   // instead of burning the node budget.
   lp_opt.max_iters = 50000;
-  lp_opt.engine = opt.lp_engine;
   // Branching decisions read the node LP's VERTEX, not just its objective:
   // on a degenerate optimal face, which vertex the engine lands on decides
   // which variable is fractional and hence the whole tree shape. Dantzig
-  // pricing reproduces the reference (tableau) engine's vertex selection,
-  // keeping trees comparable — and small — under either engine.
+  // pricing is pinned for the trees it produces (docs/solver.md).
   lp_opt.pricing = lp::Pricing::kDantzig;
   lp::Simplex engine(model.lp(), lp_opt);
   engine.set_deadline(std::chrono::steady_clock::now() +

@@ -69,10 +69,6 @@ struct MipOptions {
   /// against THIS model; borrowed pointer, not owned. Ignored when
   /// `presolve` is false.
   const lp::ReductionLog* instance_reductions = nullptr;
-  /// Which simplex implementation backs every node LP (and the root
-  /// certificate): the sparse revised engine by default, the dense tableau
-  /// engine as the differential-testing reference (lp::EngineKind).
-  lp::EngineKind lp_engine = lp::EngineKind::kRevised;
   /// Emit counters/spans into the obs telemetry layer (node dispositions,
   /// queue depth, donations, cold vs warm re-solves, the incumbent timeline,
   /// per-worker busy time). Only observable while an obs session is

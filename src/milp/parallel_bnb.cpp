@@ -540,9 +540,8 @@ MipResult solve_parallel(const Model& model, const MipOptions& opt, int threads)
   // Same per-node pivot cap as the sequential solver: pathological degenerate
   // episodes fail fast instead of burning the budget.
   cfg.lp_opt.max_iters = 50000;
-  cfg.lp_opt.engine = opt.lp_engine;
-  // Dantzig pricing for vertex parity with the reference engine — same
-  // rationale as the sequential driver (tree shape follows the LP vertex).
+  // Dantzig pricing, as in the sequential driver: the tree shape follows
+  // the LP vertex.
   cfg.lp_opt.pricing = lp::Pricing::kDantzig;
   cfg.donate_below = threads;
   cfg.start_ns = obs::now_ns();

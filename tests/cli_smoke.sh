@@ -134,4 +134,21 @@ if "$CLI" frobnicate 2>/dev/null; then
   exit 1
 fi
 
+# Unknown flags are usage errors (exit 2), never silently ignored: a removed
+# option and a misspelled one both fail before the command runs.
+set +e
+"$CLI" solve --problem "$DIR/small.json" --method optimal --lp-engine tableau \
+  > /dev/null 2> "$DIR/flag_err.txt"
+rc=$?
+set -e
+test "$rc" = "2"
+grep -q "error: unknown flag --lp-engine for solve" "$DIR/flag_err.txt"
+set +e
+"$CLI" solve --problem "$DIR/small.json" --method optimal --time-limt 5 \
+  > /dev/null 2> "$DIR/flag_err.txt"
+rc=$?
+set -e
+test "$rc" = "2"
+grep -q "error: unknown flag --time-limt for solve" "$DIR/flag_err.txt"
+
 echo "cli smoke OK"

@@ -37,9 +37,6 @@ struct DocParams {
   double iters_p50 = 7.0;        ///< count-histogram percentile
   bool with_counters = true;
   bool with_histograms = true;
-  /// config.lp_engine; empty = omit the field (legacy document, implies
-  /// tableau for comparability purposes).
-  std::string lp_engine = "revised";
 };
 
 /// Render the document as JSON text and parse it back — the same path real
@@ -51,10 +48,7 @@ json::Value make_doc(const DocParams& d) {
   os << "{\"schema\":\"" << d.schema << "\","
      << "\"config\":{\"seeds\":" << d.seeds
      << ",\"first_seed\":1,\"threads\":2,\"time_limit_s\":30,"
-     << "\"num_tasks\":3,\"rows\":2,\"cols\":2,\"levels\":3";
-  if (!d.lp_engine.empty()) os << ",\"lp_engine\":\"" << d.lp_engine << "\"";
-  os << "},";
-  os << ""
+     << "\"num_tasks\":3,\"rows\":2,\"cols\":2,\"levels\":3},"
      << "\"serial\":{\"seconds_per_seed\":{\"mean\":" << d.serial_mean
      << ",\"stddev\":" << d.serial_std << "},\"wall_clock_s\":" << d.serial_wall
      << ",\"nodes\":200},"
@@ -74,7 +68,7 @@ json::Value make_doc(const DocParams& d) {
     if (d.with_counters) {
       os << ",\"counters\":{\"bnb.branched\":" << d.branched / 2
          << ",\"bnb.par.busy_ns\":" << d.busy_ns
-         << ",\"mem.lp.tableau_bytes\":4096},"
+         << ",\"mem.lp.engine_bytes\":4096},"
          << "\"parallel_counters\":{\"bnb.branched\":" << d.branched / 2 << "},"
          << "\"presolve_off_counters\":{\"bnb.branched\":" << d.branched << "}";
     }
@@ -165,68 +159,6 @@ TEST(BenchDiff, DeterministicCounterDriftGates) {
   EXPECT_TRUE(has_code(r, "bench-diff-counter-drift", "presolve_off_counters.bnb.branched"));
 }
 
-TEST(BenchDiff, CrossEngineCounterDriftDemotesToNote) {
-  DocParams o;
-  o.lp_engine = "tableau";
-  DocParams n;
-  n.lp_engine = "revised";
-  n.branched = 114;   // drift that would gate same-engine…
-  n.iters_count = 41; // …including count-valued histograms
-  const bench::DiffResult r = bench::diff_sweeps(make_doc(o), make_doc(n));
-  EXPECT_TRUE(r.comparable);
-  EXPECT_EQ(r.exit_code(), 0);
-  EXPECT_EQ(r.regressions, 0);
-  EXPECT_TRUE(has_code(r, "bench-diff-engine-mismatch", "config.lp_engine"));
-  // The drift is still reported, just demoted to a note.
-  EXPECT_TRUE(has_code(r, "bench-diff-counter-drift", "counters.bnb.branched"));
-}
-
-TEST(BenchDiff, CrossEngineCountHistogramShiftIsANote) {
-  DocParams o;
-  o.lp_engine = "tableau";
-  DocParams n;
-  n.lp_engine = "revised";
-  n.iters_p50 = 25.0;  // a 3.5x iteration-profile shift: engine work profile
-  const bench::DiffResult r = bench::diff_sweeps(make_doc(o), make_doc(n));
-  EXPECT_EQ(r.exit_code(), 0);
-  EXPECT_TRUE(has_code(r, "bench-diff-hist-drift", "histograms.lp.iters_per_solve.p50"));
-
-  // Same-engine, the identical shift gates: the work profile is deterministic.
-  o.lp_engine = "revised";
-  const bench::DiffResult r2 = bench::diff_sweeps(make_doc(o), make_doc(n));
-  EXPECT_EQ(r2.exit_code(), 1);
-  EXPECT_TRUE(has_code(r2, "bench-diff-hist-regression", "histograms.lp.iters_per_solve.p50"));
-}
-
-TEST(BenchDiff, AbsentEngineFieldMeansTableau) {
-  DocParams o;
-  o.lp_engine = "";  // legacy document: no config.lp_engine at all
-  DocParams n;
-  n.lp_engine = "tableau";
-  n.branched = 114;
-  const bench::DiffResult r = bench::diff_sweeps(make_doc(o), make_doc(n));
-  // absent == "tableau": same engine, so the drift still gates.
-  EXPECT_EQ(r.exit_code(), 1);
-  EXPECT_FALSE(has_code(r, "bench-diff-engine-mismatch"));
-
-  n.lp_engine = "revised";
-  const bench::DiffResult r2 = bench::diff_sweeps(make_doc(o), make_doc(n));
-  EXPECT_EQ(r2.exit_code(), 0);
-  EXPECT_TRUE(has_code(r2, "bench-diff-engine-mismatch", "config.lp_engine"));
-}
-
-TEST(BenchDiff, CrossEngineTimingStillGates) {
-  DocParams o;
-  o.lp_engine = "tableau";
-  DocParams n;
-  n.lp_engine = "revised";
-  n.serial_mean = 5.0;  // 10x slower: lenience must not blunt the time gate
-  n.serial_wall = 10.0;
-  const bench::DiffResult r = bench::diff_sweeps(make_doc(o), make_doc(n));
-  EXPECT_EQ(r.exit_code(), 1);
-  EXPECT_TRUE(has_code(r, "bench-diff-time-regression", "serial.wall_clock_s"));
-}
-
 TEST(BenchDiff, NondeterministicCountersAreExcluded) {
   DocParams n;
   n.busy_ns = 999999999;  // _ns / mem. / bnb.par. names never compare exactly
@@ -249,6 +181,14 @@ TEST(BenchDiff, CountHistogramComparesExactly) {
   const bench::DiffResult r = bench::diff_sweeps(make_doc({}), make_doc(n));
   EXPECT_EQ(r.exit_code(), 1);
   EXPECT_TRUE(has_code(r, "bench-diff-counter-drift", "histograms.lp.iters_per_solve.count"));
+
+  // A percentile shift in a count histogram is a deterministic work-profile
+  // change, so it gates like the population does.
+  DocParams shifted;
+  shifted.iters_p50 = 25.0;
+  const bench::DiffResult r2 = bench::diff_sweeps(make_doc({}), make_doc(shifted));
+  EXPECT_EQ(r2.exit_code(), 1);
+  EXPECT_TRUE(has_code(r2, "bench-diff-hist-regression", "histograms.lp.iters_per_solve.p50"));
 }
 
 TEST(BenchDiff, MissingMetricIsANonGatingNote) {

@@ -1,20 +1,23 @@
 // Revised-simplex engine tests: sparse storage round-trips, LU
 // factorization/solves against known matrices, product-form eta updates vs
-// fresh factorization, refactorization triggers, and the seeded differential
-// corpus asserting engine equality (tableau vs revised) at the LP and MILP
-// layers, the latter across thread counts.
+// fresh factorization, refactorization triggers, and a seeded corpus checked
+// against committed golden objectives at the LP layer (cold solves and warm
+// dual re-solves) and the MILP layer (across thread counts), with every
+// cold-solve certificate and audit re-proved by the exact layer.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
 #include "analysis/certify_lp.hpp"
+#include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
 #include "common/prng.hpp"
 #include "lp/basis_lu.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
+#include "milp/audit.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
 
@@ -22,7 +25,6 @@ namespace {
 
 using nd::Prng;
 using nd::lp::BasisLu;
-using nd::lp::EngineKind;
 using nd::lp::kInf;
 using nd::lp::Problem;
 using nd::lp::Sense;
@@ -272,7 +274,9 @@ TEST(BasisLuTest, NeedsRefactorTripsOnEtaBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential corpus
+// Golden corpus: statuses and objectives printed with %.17g while a second,
+// dense-tableau engine still existed and agreed on every entry. The exact
+// layer re-proves every certificate and audit on top.
 // ---------------------------------------------------------------------------
 
 nd::lp::Problem random_lp(int n, int m, std::uint64_t seed) {
@@ -296,63 +300,94 @@ nd::lp::Problem random_lp(int n, int m, std::uint64_t seed) {
   return p;
 }
 
+struct GoldenLp {
+  std::uint64_t seed;
+  SolveStatus status;
+  double obj;
+};
+
+// random_lp(14, 10, seed * 101).
+const GoldenLp kGoldenLp[] = {
+    {1, SolveStatus::kOptimal, -1.0999898944421054},
+    {2, SolveStatus::kOptimal, -0.64325989265027883},
+    {3, SolveStatus::kOptimal, -3.4857661594121829},
+    {4, SolveStatus::kOptimal, -2.7934974897690976},
+    {5, SolveStatus::kOptimal, -2.6105094918819702},
+    {6, SolveStatus::kOptimal, -2.3134107528552388},
+    {7, SolveStatus::kOptimal, -5.123667088926628},
+    {8, SolveStatus::kOptimal, -1.6648006853173574},
+    {9, SolveStatus::kOptimal, -0.8765125631955879},
+    {10, SolveStatus::kOptimal, -1.4258157108853067},
+};
+
 TEST(EngineDifferential, LpStatusObjectiveAndCertificatesAgree) {
-  int optimal_seen = 0;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const Problem p = random_lp(14, 10, seed * 101);
-    Simplex::Options to;
-    to.engine = EngineKind::kTableau;
-    Simplex::Options ro;
-    ro.engine = EngineKind::kRevised;
-    Simplex tab(p, to);
-    Simplex rev(p, ro);
-    const SolveStatus st = tab.solve();
-    const SolveStatus sr = rev.solve();
-    ASSERT_EQ(st, sr) << "status mismatch on seed " << seed;
-    if (st != SolveStatus::kOptimal) continue;
-    ++optimal_seen;
-    EXPECT_NEAR(tab.objective(), rev.objective(),
-                1e-6 * (1.0 + std::abs(tab.objective())))
-        << "objective mismatch on seed " << seed;
-    for (const Simplex* eng : {&tab, &rev}) {
-      const nd::lp::Certificate cert = eng->extract_certificate();
-      const auto rep = nd::analysis::certify_lp(p, cert);
-      EXPECT_EQ(rep.num_errors(), 0) << "float certify failed on seed " << seed;
-      const auto exact = nd::analysis::certify_lp_exact(p, cert);
-      EXPECT_TRUE(exact.accepted()) << "exact certify failed on seed " << seed;
-    }
+  for (const GoldenLp& g : kGoldenLp) {
+    const Problem p = random_lp(14, 10, g.seed * 101);
+    Simplex eng(p);
+    ASSERT_EQ(eng.solve(), g.status) << "status mismatch on seed " << g.seed;
+    if (g.status != SolveStatus::kOptimal) continue;
+    EXPECT_NEAR(eng.objective(), g.obj, 1e-6 * (1.0 + std::abs(g.obj)))
+        << "objective mismatch on seed " << g.seed;
+    const nd::lp::Certificate cert = eng.extract_certificate();
+    const auto rep = nd::analysis::certify_lp(p, cert);
+    EXPECT_EQ(rep.num_errors(), 0) << "float certify failed on seed " << g.seed;
+    const auto exact = nd::analysis::certify_lp_exact(p, cert);
+    EXPECT_TRUE(exact.accepted()) << "exact certify failed on seed " << g.seed;
   }
-  EXPECT_GT(optimal_seen, 3) << "corpus degenerated: too few optimal instances";
 }
 
+struct GoldenWarm {
+  std::uint64_t seed;
+  double root;      ///< optimum before, and after each release
+  double fixed[8];  ///< optimum after each fixing drawn from Prng(seed)
+};
+
+// random_lp(12, 8, seed * 313); every entry is optimal.
+const GoldenWarm kGoldenWarm[] = {
+    {1,
+     -2.489314266346998,
+     {-1.9737017123142577, -2.489314266346998, -2.1990450911631791, -2.489314266346998,
+      -1.9737017123142577, -1.9737017123142577, -2.4698165765141336, -2.0263289342956838}},
+    {2,
+     -2.396595003924562,
+     {-2.2470289572665965, -1.9073342370500737, -1.2472451762382553, -2.396595003924562,
+      -2.3716701095163817, -2.396595003924562, -1.6109718635175414, -2.3965950039245625}},
+    {3,
+     -2.8762643181666419,
+     {-2.8762643181666419, -2.8762643181666419, -2.4045604968713334, -2.8762643181666419,
+      -1.8501089364294758, -2.8762643181666419, -2.5851794751797512, -2.0684900456150417}},
+    {4,
+     -2.9938591971629109,
+     {-2.9938591971629109, -2.0688802892256648, -2.5487441831409057, -2.9938591971629109,
+      -2.9938591971629109, -2.9938591971629109, -2.9938591971629109, -2.4055666422845698}},
+    {5,
+     -2.2798703692007747,
+     {-2.2798703692007747, -2.2456982847148854, -2.2378814941005389, -2.2798703692007747,
+      -2.0667282177036963, -2.2798703692007747, -1.390579576089318, -2.0221966486966556}},
+    {6,
+     -2.5160639609794764,
+     {-1.9709182656575741, -2.088618215928161, -2.4946647577797627, -2.5087365985966814,
+      -2.5160639609794764, -2.5160639609794764, -2.5160639609794764, -1.7270559098528764}},
+};
+
 TEST(EngineDifferential, WarmDualResolveAgreesAfterBoundChanges) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const Problem p = random_lp(12, 8, seed * 313);
-    Simplex::Options to;
-    to.engine = EngineKind::kTableau;
-    Simplex::Options ro;
-    ro.engine = EngineKind::kRevised;
-    Simplex tab(p, to);
-    Simplex rev(p, ro);
-    if (tab.solve() != SolveStatus::kOptimal) continue;
-    ASSERT_EQ(rev.solve(), SolveStatus::kOptimal);
-    Prng g(seed);
+  for (const GoldenWarm& g : kGoldenWarm) {
+    const Problem p = random_lp(12, 8, g.seed * 313);
+    const double tol = 1e-6 * (1.0 + std::abs(g.root));
+    Simplex eng(p);
+    ASSERT_EQ(eng.solve(), SolveStatus::kOptimal) << "seed " << g.seed;
+    EXPECT_NEAR(eng.objective(), g.root, tol) << "seed " << g.seed;
+    Prng fixings(g.seed);
     for (int step = 0; step < 8; ++step) {
-      const int j = static_cast<int>(g.uniform_int(0, 11));
-      const double fix = g.bernoulli(0.5) ? 1.0 : 0.0;
-      tab.set_bound(j, fix, fix);
-      rev.set_bound(j, fix, fix);
-      const SolveStatus st = tab.dual_resolve();
-      const SolveStatus sr = rev.dual_resolve();
-      ASSERT_EQ(st, sr) << "warm status mismatch, seed " << seed << " step " << step;
-      if (st == SolveStatus::kOptimal) {
-        EXPECT_NEAR(tab.objective(), rev.objective(),
-                    1e-6 * (1.0 + std::abs(tab.objective())));
-      }
-      tab.set_bound(j, 0.0, 1.0);
-      rev.set_bound(j, 0.0, 1.0);
-      ASSERT_EQ(tab.dual_resolve(), SolveStatus::kOptimal);
-      ASSERT_EQ(rev.dual_resolve(), SolveStatus::kOptimal);
+      const int j = static_cast<int>(fixings.uniform_int(0, 11));
+      const double fix = fixings.bernoulli(0.5) ? 1.0 : 0.0;
+      eng.set_bound(j, fix, fix);
+      ASSERT_EQ(eng.dual_resolve(), SolveStatus::kOptimal) << "seed " << g.seed << " step " << step;
+      EXPECT_NEAR(eng.objective(), g.fixed[step], 1e-6 * (1.0 + std::abs(g.fixed[step])))
+          << "seed " << g.seed << " step " << step;
+      eng.set_bound(j, 0.0, 1.0);
+      ASSERT_EQ(eng.dual_resolve(), SolveStatus::kOptimal) << "seed " << g.seed << " step " << step;
+      EXPECT_NEAR(eng.objective(), g.root, tol) << "release, seed " << g.seed << " step " << step;
     }
   }
 }
@@ -361,10 +396,8 @@ TEST(EngineDifferential, PricingRulesAgreeOnTheOptimum) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Problem p = random_lp(14, 10, seed * 517);
     Simplex::Options devex;
-    devex.engine = EngineKind::kRevised;
     devex.pricing = nd::lp::Pricing::kDevex;
     Simplex::Options dantzig;
-    dantzig.engine = EngineKind::kRevised;
     dantzig.pricing = nd::lp::Pricing::kDantzig;
     Simplex a(p, devex);
     Simplex b(p, dantzig);
@@ -394,29 +427,26 @@ Model random_binary_mip(int n, int m, std::uint64_t seed) {
   return mod;
 }
 
+// random_binary_mip(10, 6, seed * 733), proved optimal.
+const std::pair<std::uint64_t, double> kGoldenMilp[] = {
+    {1, -18.971896743000119}, {2, -1.3461441928048643}, {3, -12.849125554900967},
+    {4, -8.9188369891902877}, {5, -9.8473137155276014},
+};
+
 TEST(EngineDifferential, MilpEngineEqualityAcrossThreadCounts) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+  for (const auto& [seed, golden] : kGoldenMilp) {
     const Model mod = random_binary_mip(10, 6, seed * 733);
-    double ref_obj = 0.0;
-    bool have_ref = false;
-    for (const EngineKind kind : {EngineKind::kTableau, EngineKind::kRevised}) {
-      for (const int threads : {1, 2, 4}) {
-        MipOptions opt;
-        opt.lp_engine = kind;
-        opt.num_threads = threads;
-        const auto res = nd::milp::solve(mod, opt);
-        ASSERT_EQ(res.status, MipStatus::kOptimal)
-            << "seed " << seed << " engine " << nd::lp::to_string(kind)
-            << " threads " << threads;
-        if (!have_ref) {
-          ref_obj = res.obj;
-          have_ref = true;
-        } else {
-          EXPECT_NEAR(res.obj, ref_obj, 1e-6 * (1.0 + std::abs(ref_obj)))
-              << "seed " << seed << " engine " << nd::lp::to_string(kind)
-              << " threads " << threads;
-        }
-      }
+    for (const int threads : {1, 2, 4}) {
+      MipOptions opt;
+      opt.num_threads = threads;
+      nd::milp::AuditLog audit;
+      opt.audit = &audit;
+      const auto res = nd::milp::solve(mod, opt);
+      ASSERT_EQ(res.status, MipStatus::kOptimal) << "seed " << seed << " threads " << threads;
+      EXPECT_NEAR(res.obj, golden, 1e-6 * (1.0 + std::abs(golden)))
+          << "seed " << seed << " threads " << threads;
+      EXPECT_TRUE(nd::analysis::certify_bnb_exact(mod, audit).accepted())
+          << "exact audit replay failed, seed " << seed << " threads " << threads;
     }
   }
 }

@@ -37,6 +37,10 @@
 // Chrome trace_event JSON loadable in chrome://tracing or ui.perfetto.dev).
 // `profile` exercises every subsystem on one instance and implies --stats.
 //
+// Each command accepts only the flags it reads (plus the global telemetry
+// flags); any other flag is a usage error, so a misspelled option cannot
+// silently fall back to its default.
+//
 // Exit status: 0 on success/valid, 1 on infeasible/invalid/lint-errors,
 // 2 on usage error.
 #include <cmath>
@@ -45,6 +49,7 @@
 #include <ctime>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -96,33 +101,21 @@ struct Args {
   [[nodiscard]] bool presolve_on() const { return get("presolve", "on") != "off"; }
 };
 
-/// `--lp-engine tableau|revised`, default revised. Returns false (after
-/// printing a usage error) on an unknown engine name.
-bool parse_lp_engine(const Args& a, lp::EngineKind* out) {
-  const std::string name = a.get("lp-engine", lp::to_string(lp::EngineKind::kRevised));
-  if (!lp::engine_kind_from_string(name, out)) {
-    std::fprintf(stderr, "error: unknown --lp-engine '%s' (expected tableau|revised)\n",
-                 name.c_str());
-    return false;
-  }
-  return true;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: nocdeploy <gen|solve|validate|simulate|lint> [flags]\n"
                "  gen      --tasks N --rows R --cols C --alpha A --r-th X --lambda L\n"
                "           --seed S -o problem.json\n"
                "  solve    --problem P.json --method heuristic|annealing|optimal\n"
-               "           [--time-limit SEC] [--presolve on|off]\n"
-               "           [--lp-engine tableau|revised] [-o solution.json]\n"
+               "           [--time-limit SEC] [--threads T] [--presolve on|off]\n"
+               "           [--seed S] [--iters N] [-o solution.json]\n"
                "           [--gantt] [--dot FILE]\n"
                "  validate --problem P.json --solution S.json\n"
                "  simulate --problem P.json --solution S.json [--trials N]\n"
                "  lint     --problem P.json [--model] [--presolve-report] [--json]\n"
                "  certify  --problem P.json --method optimal|heuristic [--exact]\n"
-               "           [--time-limit SEC] [--presolve on|off]\n"
-               "           [--lp-engine tableau|revised]\n"
+               "           [--time-limit SEC] [--threads T] [--presolve on|off]\n"
+               "           [--exact-lp-budget SEC]\n"
                "           [--emit-certificate F] [--emit-audit F]\n"
                "           [-o solution.json] [--json]\n"
                "  certify  --problem P.json --solution S.json\n"
@@ -132,16 +125,16 @@ int usage() {
                "  crosscheck [--seeds N] [--first-seed S] [--tasks N] [--rows R]\n"
                "           [--cols C] [--time-limit SEC] [--threads T]\n"
                "           [--presolve on|off] [--mesh-variation V] [--no-sim]\n"
-               "           [--preset stress] [--lp-engine tableau|revised] [--json]\n"
+               "           [--preset stress] [--json]\n"
                "  sweep    [--seeds N] [--first-seed S] [--threads T] [--tasks N]\n"
                "           [--rows R] [--cols C] [--time-limit SEC]\n"
-               "           [--preset stress] [--lp-engine tableau|revised]\n"
-               "           [-o BENCH_sweep.json] [--json] [--append-history FILE]\n"
+               "           [--preset stress] [-o BENCH_sweep.json] [--json]\n"
+               "           [--append-history FILE]\n"
                "  bench diff OLD.json NEW.json [--sigma X] [--rel-floor X]\n"
                "           [--abs-floor SEC] [--hist-rel X] [--json]\n"
                "  profile  [--problem P.json] [--tasks N] [--rows R] [--cols C]\n"
                "           [--seed S] [--iters N] [--time-limit SEC] [--threads T]\n"
-               "           [--lp-engine tableau|revised]\n"
+               "           [--trials N] [--alpha A] [--r-th X] [--lambda L]\n"
                "global telemetry flags: [--stats] [--trace FILE] [--log-json FILE]\n");
   return 2;
 }
@@ -227,7 +220,6 @@ int cmd_solve(const Args& a) {
     mopt.time_limit_s = a.num("time-limit", 60.0);
     mopt.num_threads = static_cast<int>(a.num("threads", 1));
     mopt.presolve = a.presolve_on();
-    if (!parse_lp_engine(a, &mopt.lp_engine)) return 2;
     if (warm.feasible) {
       warm_point = f.encode(warm.solution);
       mopt.warm_start = &warm_point;
@@ -434,7 +426,6 @@ int cmd_certify(const Args& a) {
     milp::MipOptions mopt;
     mopt.time_limit_s = a.num("time-limit", 60.0);
     mopt.num_threads = static_cast<int>(a.num("threads", 1));
-    if (!parse_lp_engine(a, &mopt.lp_engine)) return 2;
     if (warm.feasible) {
       warm_point = f.encode(warm.solution);
       mopt.warm_start = &warm_point;
@@ -539,7 +530,6 @@ int cmd_crosscheck(const Args& a) {
   opt.num_threads = static_cast<int>(a.num("threads", opt.num_threads));
   opt.mesh_variation = a.num("mesh-variation", opt.mesh_variation);
   opt.presolve = a.presolve_on();
-  if (!parse_lp_engine(a, &opt.lp_engine)) return 2;
   opt.run_simulation = a.flags.count("no-sim") == 0;
   opt.verbose = a.flags.count("json") == 0;
   const auto first = static_cast<std::uint64_t>(a.num("first-seed", 1));
@@ -570,7 +560,6 @@ int cmd_sweep(const Args& a) {
   opt.scale.num_tasks = static_cast<int>(a.num("tasks", opt.scale.num_tasks));
   opt.scale.rows = static_cast<int>(a.num("rows", opt.scale.rows));
   opt.scale.cols = static_cast<int>(a.num("cols", opt.scale.cols));
-  if (!parse_lp_engine(a, &opt.lp_engine)) return 2;
   opt.verbose = a.flags.count("json") == 0;
   const auto res = bench::run_sweep(opt);
   const auto doc = res.to_json(opt);
@@ -693,7 +682,6 @@ int cmd_profile(const Args& a) {
   milp::MipOptions mopt;
   mopt.time_limit_s = a.num("time-limit", 20.0);
   mopt.num_threads = static_cast<int>(a.num("threads", 1));
-  if (!parse_lp_engine(a, &mopt.lp_engine)) return 2;
   const auto res = model::solve_optimal(*p, {}, mopt, heur.feasible ? &heur.solution : nullptr);
   std::printf("profile: MILP %s, bound %.6f, %lld nodes, %d LP iters in %.3f s\n",
               to_string(res.mip.status), res.mip.best_bound,
@@ -737,20 +725,42 @@ int cmd_simulate(const Args& a) {
   return sim.ok() ? 0 : 1;
 }
 
-int run_command(const Args& a) {
-  if (a.command == "gen") return cmd_gen(a);
-  if (a.command == "solve") return cmd_solve(a);
-  if (a.command == "validate") return cmd_validate(a);
-  if (a.command == "simulate") return cmd_simulate(a);
-  if (a.command == "lint") return cmd_lint(a);
-  if (a.command == "certify") return cmd_certify(a);
-  if (a.command == "verify") return cmd_verify(a);
-  if (a.command == "crosscheck") return cmd_crosscheck(a);
-  if (a.command == "sweep") return cmd_sweep(a);
-  if (a.command == "bench") return cmd_bench(a);
-  if (a.command == "profile") return cmd_profile(a);
-  return usage();
-}
+struct Command {
+  int (*run)(const Args&);
+  std::set<std::string> flags;  ///< every flag the command reads
+};
+
+/// Flags every command accepts: the telemetry session wrapped around it.
+const std::set<std::string> kGlobalFlags = {"stats", "trace", "log-json"};
+
+const std::map<std::string, Command> kCommands = {
+    {"gen", {cmd_gen, {"tasks", "rows", "cols", "alpha", "r-th", "lambda", "seed", "o"}}},
+    {"solve",
+     {cmd_solve,
+      {"problem", "method", "time-limit", "threads", "presolve", "seed", "iters", "o",
+       "gantt", "dot"}}},
+    {"validate", {cmd_validate, {"problem", "solution"}}},
+    {"simulate", {cmd_simulate, {"problem", "solution", "trials"}}},
+    {"lint", {cmd_lint, {"problem", "model", "presolve-report", "json"}}},
+    {"certify",
+     {cmd_certify,
+      {"problem", "method", "solution", "certificate", "audit", "exact", "exact-lp-budget",
+       "time-limit", "threads", "presolve", "emit-certificate", "emit-audit", "o", "json"}}},
+    {"verify", {cmd_verify, {"problem", "solution", "claimed-be", "no-contention", "json"}}},
+    {"crosscheck",
+     {cmd_crosscheck,
+      {"seeds", "first-seed", "tasks", "rows", "cols", "time-limit", "threads", "presolve",
+       "mesh-variation", "no-sim", "preset", "json"}}},
+    {"sweep",
+     {cmd_sweep,
+      {"seeds", "first-seed", "threads", "tasks", "rows", "cols", "time-limit", "preset", "o",
+       "json", "append-history"}}},
+    {"bench", {cmd_bench, {"sigma", "rel-floor", "abs-floor", "hist-rel", "json"}}},
+    {"profile",
+     {cmd_profile,
+      {"problem", "tasks", "rows", "cols", "seed", "alpha", "r-th", "lambda", "iters",
+       "time-limit", "threads", "trials"}}},
+};
 
 }  // namespace
 
@@ -758,6 +768,8 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   Args a;
   a.command = argv[1];
+  const auto cmd = kCommands.find(a.command);
+  if (cmd == kCommands.end()) return usage();
   for (int i = 2; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) == 0) {
@@ -778,6 +790,13 @@ int main(int argc, char** argv) {
       a.flags[key] = "";  // boolean flag
     }
   }
+  for (const auto& [key, value] : a.flags) {
+    if (cmd->second.flags.count(key) == 0 && kGlobalFlags.count(key) == 0) {
+      std::fprintf(stderr, "error: unknown flag %s%s for %s\n", key.size() == 1 ? "-" : "--",
+                   key.c_str(), a.command.c_str());
+      return 2;
+    }
+  }
 
   // Telemetry session: --stats prints the per-subsystem table, --trace FILE
   // writes Chrome trace_event JSON; `profile` implies --stats. The session
@@ -795,7 +814,7 @@ int main(int argc, char** argv) {
 
   int rc;
   try {
-    rc = run_command(a);
+    rc = cmd->second.run(a);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     // Error-level event flushes the flight recorder: whatever the subsystems
