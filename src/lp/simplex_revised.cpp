@@ -25,6 +25,7 @@
 #include "lp/certificate.hpp"
 #include "lp/simplex.hpp"
 #include "lp/sparse.hpp"
+#include "obs/obs.hpp"
 
 namespace nd::lp {
 
@@ -82,6 +83,10 @@ class RevisedEngine {
   /// Fresh LU of the current basis; bumps the refactorization counters.
   /// False when the basis has gone numerically singular.
   [[nodiscard]] bool refactorize();
+  /// lu.factorize(a_, basis_, pivot_floor), its wall time added to
+  /// counters_.factorize_ns. Every factorization of the engine goes through
+  /// here.
+  [[nodiscard]] bool timed_factorize(BasisLu& lu, double pivot_floor = 0.0);
   /// x_B = B⁻¹(b − N x_N): one FTRAN over the nonbasic offsets.
   void recompute_basic_values() const;
   /// Lazily repair basic values invalidated by set_bound().
@@ -302,7 +307,7 @@ void RevisedEngine::build_initial_basis() {
   degen_run_ = 0;
 
   // The initial basis is one ±1 column per row — never singular.
-  const bool ok = lu_.factorize(a_, basis_, kPivotTol);
+  const bool ok = timed_factorize(lu_, kPivotTol);
   ND_ASSERT(ok, "initial slack/artificial basis must factorize");
   counters_.refactor_fill += lu_.last_fill();
   basis_valid_ = true;
@@ -325,12 +330,19 @@ void RevisedEngine::compute_reduced_costs() {
   }
 }
 
+bool RevisedEngine::timed_factorize(BasisLu& lu, double pivot_floor) {
+  const std::int64_t t0 = obs::now_ns();
+  const bool ok = lu.factorize(a_, basis_, pivot_floor);
+  counters_.factorize_ns += obs::now_ns() - t0;
+  return ok;
+}
+
 bool RevisedEngine::refactorize() {
   // Transactional: factorize into a scratch object so a refusal (numerically
   // singular standing basis) leaves the live factors — possibly an eta chain
   // the caller is still standing on — intact for the fallback path.
   BasisLu clean;
-  if (!clean.factorize(a_, basis_, kPivotTol)) return false;
+  if (!timed_factorize(clean, kPivotTol)) return false;
   lu_ = std::move(clean);
   ++counters_.refactorizations;
   counters_.refactor_fill += lu_.last_fill();
@@ -429,7 +441,7 @@ RevisedEngine::PivotOutcome RevisedEngine::pivot(int r, int q, double leave_targ
     // singularity and nothing else. The strict kPivotTol floor stays on the
     // STANDING-basis refactorizations, where failure has a cheap cold-solve
     // fallback instead of a pricing dead end.
-    if (fresh.factorize(a_, basis_)) {
+    if (timed_factorize(fresh)) {
       lu_ = std::move(fresh);
       ++counters_.refactorizations;
       counters_.refactor_fill += lu_.last_fill();
@@ -450,7 +462,7 @@ RevisedEngine::PivotOutcome RevisedEngine::pivot(int r, int q, double leave_targ
         // gets the envelope-only floor: a marginal-but-real pivot must not
         // strand the engine on the noisy chain.
         BasisLu old;
-        if (old.factorize(a_, basis_)) {
+        if (timed_factorize(old)) {
           lu_ = std::move(old);
           ++counters_.refactorizations;
           counters_.refactor_fill += lu_.last_fill();
