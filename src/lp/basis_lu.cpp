@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "analysis/exact/envelope.hpp"
 #include "common/check.hpp"
@@ -32,42 +33,76 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   lu_nnz_ = 0;
   basis_nnz_ = 0;
 
-  // Left-looking elimination with a dense scatter workspace per column.
+  // Left-looking elimination with a dense scatter workspace per column,
+  // limited to the work the column needs (Gilbert–Peierls). A row enters
+  // `touched` (once, stamped by `seen`) the first time the column writes it;
+  // if that row is already pivoted, its pivot joins the min-heap `reach`.
+  // L column k holds only rows pivoted after k, so popping the heap applies
+  // exactly the pivots reachable from the column's pattern, in ascending
+  // order — the order, and therefore every floating-point operation, of the
+  // dense loop over all earlier pivots. Pivots the column cannot reach have
+  // u_kj == 0 there and were skipped by that loop anyway.
   std::vector<double> x(static_cast<std::size_t>(m_), 0.0);
+  std::vector<int> seen(static_cast<std::size_t>(m_), -1);
   std::vector<int> touched;
+  std::vector<int> reach;
+  std::vector<int> cand;  // unpivoted rows holding a nonzero, ascending
   touched.reserve(static_cast<std::size_t>(m_));
+  reach.reserve(static_cast<std::size_t>(m_));
+  cand.reserve(static_cast<std::size_t>(m_));
+  const std::greater<> min_first;
 
   for (int j = 0; j < m_; ++j) {
+    const auto touch = [&](int i) {
+      int& stamp = seen[static_cast<std::size_t>(i)];
+      if (stamp == j) return;
+      stamp = j;
+      touched.push_back(i);
+      const int k = ipos_[static_cast<std::size_t>(i)];
+      if (k < 0) return;
+      reach.push_back(k);
+      std::push_heap(reach.begin(), reach.end(), min_first);
+    };
     const SparseMatrix::ColView bj = a.col(basis[static_cast<std::size_t>(j)]);
     basis_nnz_ += bj.len;
     double colmax = 0.0;
     for (int k = 0; k < bj.len; ++k) {
       x[static_cast<std::size_t>(bj.idx[k])] = bj.val[k];
-      touched.push_back(bj.idx[k]);
+      touch(bj.idx[k]);
       colmax = std::max(colmax, std::abs(bj.val[k]));
     }
 
-    // Apply the previous pivots in order: u_kj is the workspace value at the
-    // k-th pivot row AFTER eliminations 0..k-1, then pivot k's L column is
-    // subtracted from the still-unpivoted rows.
+    // Apply the reached pivots in ascending order: u_kj is the workspace
+    // value at the k-th pivot row AFTER the eliminations before k, then
+    // pivot k's L column is subtracted.
     std::vector<Entry>& ucol = ucols_[static_cast<std::size_t>(j)];
-    for (int k = 0; k < j; ++k) {
+    while (!reach.empty()) {
+      std::pop_heap(reach.begin(), reach.end(), min_first);
+      const int k = reach.back();
+      reach.pop_back();
       const double ukj = x[static_cast<std::size_t>(prow_[static_cast<std::size_t>(k)])];
       if (ukj == 0.0) continue;  // fp-exact: structural zero, nothing to eliminate
       ucol.push_back({k, ukj});
       for (const Entry& e : lcols_[static_cast<std::size_t>(k)]) {
+        touch(e.idx);
         double& xi = x[static_cast<std::size_t>(e.idx)];
-        if (xi == 0.0) touched.push_back(e.idx);  // fp-exact: fill-in bookkeeping
         xi -= e.val * ukj;
         colmax = std::max(colmax, std::abs(xi));
       }
     }
 
-    // Partial pivoting over the rows not yet claimed by a pivot.
+    // Partial pivoting over the touched rows not yet claimed by a pivot,
+    // scanned in ascending row order so ties go to the lowest row index.
+    cand.clear();
+    for (const int i : touched) {
+      if (ipos_[static_cast<std::size_t>(i)] >= 0) continue;
+      if (x[static_cast<std::size_t>(i)] == 0.0) continue;  // fp-exact: structural zero
+      cand.push_back(i);
+    }
+    std::sort(cand.begin(), cand.end());
     int p = -1;
     double pv = 0.0;
-    for (int i = 0; i < m_; ++i) {
-      if (ipos_[static_cast<std::size_t>(i)] >= 0) continue;
+    for (const int i : cand) {
       const double v = std::abs(x[static_cast<std::size_t>(i)]);
       if (v > pv) {
         pv = v;
@@ -91,12 +126,11 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
     const double piv = x[static_cast<std::size_t>(p)];
     udiag_[static_cast<std::size_t>(j)] = piv;
 
+    // L column in ascending row order: BTRAN's Lᵀ pass sums in stored order.
     std::vector<Entry>& lcol = lcols_[static_cast<std::size_t>(j)];
-    for (int i = 0; i < m_; ++i) {
-      if (ipos_[static_cast<std::size_t>(i)] >= 0) continue;
-      const double v = x[static_cast<std::size_t>(i)];
-      if (v == 0.0) continue;  // fp-exact: structural zero stays out of L
-      lcol.push_back({i, v / piv});
+    for (const int i : cand) {
+      if (i == p) continue;
+      lcol.push_back({i, x[static_cast<std::size_t>(i)] / piv});
     }
     lu_nnz_ += static_cast<long long>(lcol.size() + ucol.size()) + 1;
 
@@ -105,8 +139,6 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   }
 
   last_fill_ = std::max<long long>(0, lu_nnz_ - basis_nnz_);
-  stats_.fill += last_fill_;
-  ++stats_.factorizations;
   factorized_ = true;
   return true;
 }
@@ -114,7 +146,6 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
 void BasisLu::ftran(std::vector<double>& x) const {
   ND_REQUIRE(factorized_, "BasisLu::ftran before factorize");
   ND_REQUIRE(static_cast<int>(x.size()) == m_, "BasisLu::ftran size");
-  ++stats_.ftrans;
   // Forward: L y = b in pivot order, y living at the pivot rows.
   for (int k = 0; k < m_; ++k) {
     const double yk = x[static_cast<std::size_t>(prow_[static_cast<std::size_t>(k)])];
@@ -152,7 +183,6 @@ void BasisLu::ftran(std::vector<double>& x) const {
 void BasisLu::btran(std::vector<double>& x) const {
   ND_REQUIRE(factorized_, "BasisLu::btran before factorize");
   ND_REQUIRE(static_cast<int>(x.size()) == m_, "BasisLu::btran size");
-  ++stats_.btrans;
   // Etas in REVERSE creation order first: x ← E⁻ᵀ x with
   // E⁻ᵀ c: c_r ← (c_r − Σ_{i≠r} w_i c_i) / w_r, other components unchanged.
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
@@ -208,7 +238,6 @@ bool BasisLu::update(const std::vector<double>& w, int r) {
   }
   eta_nnz_ += static_cast<long long>(eta.col.size()) + 1;
   etas_.push_back(std::move(eta));
-  ++stats_.updates;
   return true;
 }
 

@@ -3,7 +3,14 @@
 // The revised simplex engine (lp/simplex_revised.cpp) keeps the basis matrix
 // B factorized instead of maintaining a dense tableau:
 //   * factorize() runs a left-looking sparse LU with partial pivoting over
-//     the basis columns of the shared SparseMatrix;
+//     the basis columns of the shared SparseMatrix. Each column is
+//     eliminated only by the earlier pivots reachable from its nonzero
+//     pattern through the L columns (Gilbert–Peierls), applied in ascending
+//     pivot order, and the pivot search and L extraction visit only the rows
+//     the column touched. That is the operation order of the dense loop over
+//     every earlier pivot and all m rows, so the factors equal its factors
+//     bit for bit, while the cost follows the elimination work and the rows
+//     touched instead of m²;
 //   * ftran() solves B x = b (the entering column / basic values);
 //   * btran() solves Bᵀ y = c (duals, pivot rows, Farkas rays);
 //   * update() absorbs one basis exchange as a product-form eta matrix
@@ -25,16 +32,6 @@ namespace nd::lp {
 
 class BasisLu {
  public:
-  /// Work tallies since construction (cumulative; the engine folds them into
-  /// Simplex::Counters and the lp.* telemetry).
-  struct Stats {
-    long long factorizations = 0;  ///< fresh factorize() calls
-    long long updates = 0;         ///< eta updates absorbed
-    long long ftrans = 0;          ///< B x = b solves
-    long long btrans = 0;          ///< Bᵀ y = c solves
-    long long fill = 0;            ///< cumulative fill-in: nnz(L+U) − nnz(B)
-  };
-
   BasisLu() = default;
 
   /// Fresh factorization of B = a[:, basis]. Discards the eta file. Returns
@@ -71,7 +68,6 @@ class BasisLu {
   [[nodiscard]] int eta_count() const { return static_cast<int>(etas_.size()); }
   /// Fill-in of the CURRENT factorization: nnz(L+U) − nnz(B).
   [[nodiscard]] long long last_fill() const { return last_fill_; }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
   /// Heap footprint of the factors and eta file, for the mem.* telemetry.
   [[nodiscard]] long long bytes() const;
 
@@ -91,14 +87,13 @@ class BasisLu {
   std::vector<int> prow_;   // pivot k -> matrix row
   std::vector<int> ipos_;   // matrix row -> pivot k
   std::vector<double> udiag_;               // U diagonal per pivot
-  std::vector<std::vector<Entry>> lcols_;   // L column per pivot: (row, l)
-  std::vector<std::vector<Entry>> ucols_;   // U column per pivot: (k < j, u)
+  std::vector<std::vector<Entry>> lcols_;   // L column per pivot: (row, l), rows ascending
+  std::vector<std::vector<Entry>> ucols_;   // U column per pivot: (k < j, u), k ascending
   std::vector<Eta> etas_;
   long long lu_nnz_ = 0;
   long long basis_nnz_ = 0;
   long long last_fill_ = 0;
   long long eta_nnz_ = 0;
-  mutable Stats stats_;  // ftran/btran are logically const solves
 };
 
 }  // namespace nd::lp

@@ -1,17 +1,22 @@
 // Revised-simplex engine tests: sparse storage round-trips, LU
-// factorization/solves against known matrices, product-form eta updates vs
+// factorization/solves against known matrices and, bit for bit, against the
+// dense left-looking loop on deployment-shaped bases, product-form eta updates vs
 // fresh factorization, refactorization triggers, and a seeded corpus checked
 // against committed golden objectives at the LP layer (cold solves and warm
 // dual re-solves) and the MILP layer (across thread counts), with every
 // cold-solve certificate and audit re-proved by the exact layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/certify_lp.hpp"
 #include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
+#include "analysis/exact/envelope.hpp"
 #include "common/prng.hpp"
 #include "lp/basis_lu.hpp"
 #include "lp/problem.hpp"
@@ -271,6 +276,316 @@ TEST(BasisLuTest, NeedsRefactorTripsOnEtaBudget) {
   ASSERT_TRUE(lu.factorize(a, basis));
   EXPECT_EQ(lu.eta_count(), 0);
   EXPECT_FALSE(lu.needs_refactor());
+}
+
+// ---------------------------------------------------------------------------
+// LU factors against the dense left-looking loop
+// ---------------------------------------------------------------------------
+
+// Reference for the tests below: the dense left-looking LU, which for each
+// column applies every earlier pivot and scans all m rows twice, with
+// BasisLu's FTRAN and BTRAN minus the eta file. BasisLu's reach-limited
+// elimination promises the same factors bit for bit, so fill and every solve
+// must agree exactly.
+class DenseLuReference {
+ public:
+  bool factorize(const SparseMatrix& a, const std::vector<int>& basis,
+                 double pivot_floor = 0.0) {
+    m_ = static_cast<int>(basis.size());
+    const auto mu = static_cast<std::size_t>(m_);
+    prow_.assign(mu, -1);
+    ipos_.assign(mu, -1);
+    udiag_.assign(mu, 0.0);
+    lcols_.assign(mu, {});
+    ucols_.assign(mu, {});
+    long long lu_nnz = 0;
+    long long basis_nnz = 0;
+    std::vector<double> x(mu, 0.0);
+    for (int j = 0; j < m_; ++j) {
+      const auto ju = static_cast<std::size_t>(j);
+      const SparseMatrix::ColView bj = a.col(basis[ju]);
+      basis_nnz += bj.len;
+      double colmax = 0.0;
+      for (int k = 0; k < bj.len; ++k) {
+        x[static_cast<std::size_t>(bj.idx[k])] = bj.val[k];
+        colmax = std::max(colmax, std::abs(bj.val[k]));
+      }
+      for (int k = 0; k < j; ++k) {
+        const auto ku = static_cast<std::size_t>(k);
+        const double ukj = x[static_cast<std::size_t>(prow_[ku])];
+        if (ukj == 0.0) continue;  // fp-exact: structural zero
+        ucols_[ju].push_back({k, ukj});
+        for (const Entry& e : lcols_[ku]) {
+          double& xi = x[static_cast<std::size_t>(e.idx)];
+          xi -= e.val * ukj;
+          colmax = std::max(colmax, std::abs(xi));
+        }
+      }
+      int p = -1;
+      double pv = 0.0;
+      for (int i = 0; i < m_; ++i) {
+        if (ipos_[static_cast<std::size_t>(i)] >= 0) continue;
+        const double v = std::abs(x[static_cast<std::size_t>(i)]);
+        if (v > pv) {
+          pv = v;
+          p = i;
+        }
+      }
+      if (p < 0 || pv <= std::max(nd::analysis::presolve_margin(1, colmax), pivot_floor)) {
+        return false;
+      }
+      prow_[ju] = p;
+      ipos_[static_cast<std::size_t>(p)] = j;
+      const double piv = x[static_cast<std::size_t>(p)];
+      udiag_[ju] = piv;
+      for (int i = 0; i < m_; ++i) {
+        if (ipos_[static_cast<std::size_t>(i)] >= 0) continue;
+        const double v = x[static_cast<std::size_t>(i)];
+        if (v == 0.0) continue;  // fp-exact: structural zero stays out of L
+        lcols_[ju].push_back({i, v / piv});
+      }
+      lu_nnz += static_cast<long long>(lcols_[ju].size() + ucols_[ju].size()) + 1;
+      std::fill(x.begin(), x.end(), 0.0);
+    }
+    fill_ = std::max<long long>(0, lu_nnz - basis_nnz);
+    return true;
+  }
+
+  void ftran(std::vector<double>& x) const {
+    for (int k = 0; k < m_; ++k) {
+      const double yk = x[static_cast<std::size_t>(prow_[static_cast<std::size_t>(k)])];
+      if (yk == 0.0) continue;  // fp-exact: zero propagates nothing
+      for (const Entry& e : lcols_[static_cast<std::size_t>(k)]) {
+        x[static_cast<std::size_t>(e.idx)] -= e.val * yk;
+      }
+    }
+    std::vector<double> z(static_cast<std::size_t>(m_));
+    for (int k = 0; k < m_; ++k) {
+      z[static_cast<std::size_t>(k)] = x[static_cast<std::size_t>(prow_[static_cast<std::size_t>(k)])];
+    }
+    for (int j = m_ - 1; j >= 0; --j) {
+      const double zj = z[static_cast<std::size_t>(j)] / udiag_[static_cast<std::size_t>(j)];
+      z[static_cast<std::size_t>(j)] = zj;
+      if (zj == 0.0) continue;  // fp-exact: zero scatters nothing
+      for (const Entry& e : ucols_[static_cast<std::size_t>(j)]) {
+        z[static_cast<std::size_t>(e.idx)] -= e.val * zj;
+      }
+    }
+    x = std::move(z);
+  }
+
+  void btran(std::vector<double>& x) const {
+    for (int j = 0; j < m_; ++j) {
+      double acc = x[static_cast<std::size_t>(j)];
+      for (const Entry& e : ucols_[static_cast<std::size_t>(j)]) {
+        acc -= e.val * x[static_cast<std::size_t>(e.idx)];
+      }
+      x[static_cast<std::size_t>(j)] = acc / udiag_[static_cast<std::size_t>(j)];
+    }
+    std::vector<double> y(static_cast<std::size_t>(m_), 0.0);
+    for (int k = m_ - 1; k >= 0; --k) {
+      double acc = x[static_cast<std::size_t>(k)];
+      for (const Entry& e : lcols_[static_cast<std::size_t>(k)]) {
+        acc -= e.val * y[static_cast<std::size_t>(e.idx)];
+      }
+      y[static_cast<std::size_t>(prow_[static_cast<std::size_t>(k)])] = acc;
+    }
+    x = std::move(y);
+  }
+
+  [[nodiscard]] long long fill() const { return fill_; }
+
+ private:
+  struct Entry {
+    int idx = 0;
+    double val = 0.0;
+  };
+  int m_ = 0;
+  std::vector<int> prow_, ipos_;
+  std::vector<double> udiag_;
+  std::vector<std::vector<Entry>> lcols_, ucols_;
+  long long fill_ = 0;
+};
+
+// A deployment-shaped basis: about 95% single-entry ±1 columns in distinct
+// rows (slacks and artificials) and the rest structural columns with 2–8
+// entries, each with a dominant entry on a row no single-entry column holds
+// (so the basis is nonsingular) and the others on random rows, half of them
+// rows of other structural columns. Structural columns pivoted before the
+// single-entry column of one of their rows push that column's pivot
+// elsewhere, so the reach runs through chains of L columns. Basis order is
+// shuffled.
+struct ShapedBasis {
+  std::vector<Triplet> triplets;
+  std::vector<int> basis;  ///< column indices 0..m-1, shuffled
+  int structural = 0;      ///< columns 0..structural-1 are the multi-entry ones
+};
+
+ShapedBasis deployment_shaped_basis(int m, std::uint64_t seed) {
+  Prng g(seed);
+  ShapedBasis sb;
+  std::vector<int> rows(static_cast<std::size_t>(m));
+  for (int r = 0; r < m; ++r) rows[static_cast<std::size_t>(r)] = r;
+  g.shuffle(rows);
+  sb.structural = std::max(2, m / 20);
+  for (int c = 0; c < m; ++c) {
+    const int home = rows[static_cast<std::size_t>(c)];
+    const double sign = g.bernoulli(0.5) ? 1.0 : -1.0;
+    if (c >= sb.structural) {
+      sb.triplets.push_back({home, c, sign});
+      continue;
+    }
+    sb.triplets.push_back({home, c, sign * g.uniform(2.0, 4.0)});
+    std::vector<int> used = {home};
+    const auto extra = g.uniform_int(1, 7);
+    while (static_cast<std::int64_t>(used.size()) <= extra) {
+      // Half the entries land on other structural columns' rows, so the
+      // L columns overlap and a row can take updates from several pivots.
+      const int r = g.bernoulli(0.5)
+                        ? rows[static_cast<std::size_t>(g.uniform_int(0, sb.structural - 1))]
+                        : static_cast<int>(g.uniform_int(0, m - 1));
+      if (std::find(used.begin(), used.end(), r) != used.end()) continue;
+      used.push_back(r);
+      sb.triplets.push_back({r, c, g.uniform(-1.0, 1.0)});
+    }
+  }
+  sb.basis.resize(static_cast<std::size_t>(m));
+  for (int c = 0; c < m; ++c) sb.basis[static_cast<std::size_t>(c)] = c;
+  g.shuffle(sb.basis);
+  return sb;
+}
+
+// Right-hand sides for the solves: dense, unit and sparse vectors.
+std::vector<std::vector<double>> solve_inputs(int m, std::uint64_t seed) {
+  Prng g(seed);
+  const auto mu = static_cast<std::size_t>(m);
+  std::vector<std::vector<double>> out;
+  for (int t = 0; t < 3; ++t) {
+    std::vector<double> v(mu);
+    for (auto& e : v) e = g.uniform(-1.0, 1.0);
+    out.push_back(std::move(v));
+  }
+  for (int t = 0; t < 3; ++t) {
+    std::vector<double> v(mu, 0.0);
+    v[static_cast<std::size_t>(g.uniform_int(0, m - 1))] = 1.0;
+    out.push_back(std::move(v));
+  }
+  std::vector<double> v(mu, 0.0);
+  for (int t = 0; t < 8; ++t) v[static_cast<std::size_t>(g.uniform_int(0, m - 1))] = g.uniform(-2.0, 2.0);
+  out.push_back(std::move(v));
+  return out;
+}
+
+// Reports the first entry where `got` and `want` differ in any bit that ==
+// sees; one report per vector keeps a failure readable.
+void expect_same_doubles(const std::vector<double>& got, const std::vector<double>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i] == want[i]) continue;
+    EXPECT_EQ(got[i], want[i]) << what << ", entry " << i;
+    return;
+  }
+}
+
+void expect_same_solves(const BasisLu& lu, const DenseLuReference& ref, int m,
+                        std::uint64_t seed, const std::string& what) {
+  int t = 0;
+  for (const std::vector<double>& rhs : solve_inputs(m, seed)) {
+    std::vector<double> got = rhs;
+    std::vector<double> want = rhs;
+    lu.ftran(got);
+    ref.ftran(want);
+    expect_same_doubles(got, want, what + " ftran #" + std::to_string(t));
+    got = rhs;
+    want = rhs;
+    lu.btran(got);
+    ref.btran(want);
+    expect_same_doubles(got, want, what + " btran #" + std::to_string(t));
+    ++t;
+  }
+}
+
+TEST(BasisLuTest, ReachLimitedFactorsMatchDenseLoopBitForBit) {
+  long long total_fill = 0;
+  const auto check = [&](const SparseMatrix& a, const std::vector<int>& basis,
+                         std::uint64_t seed, const std::string& what) {
+    DenseLuReference ref;
+    ASSERT_TRUE(ref.factorize(a, basis)) << what;
+    BasisLu lu;
+    ASSERT_TRUE(lu.factorize(a, basis)) << what;
+    EXPECT_EQ(lu.last_fill(), ref.fill()) << what;
+    total_fill += lu.last_fill();
+    expect_same_solves(lu, ref, a.rows(), seed, what);
+  };
+  for (const int m : {40, 200, 1000}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const ShapedBasis sb = deployment_shaped_basis(m, seed);
+      check(SparseMatrix::from_triplets(m, m, sb.triplets), sb.basis, seed * 7919,
+            "m=" + std::to_string(m) + " seed=" + std::to_string(seed));
+    }
+  }
+  // A pivot-search tie: after pivot 0, column 1 holds -0.5 in rows 1 and 2.
+  // Row 1 (the lowest) must win; pivoting on row 2 would make column 2 fill.
+  const SparseMatrix tie = SparseMatrix::from_triplets(
+      3, 3, {{0, 0, 2.0}, {1, 0, 1.0}, {2, 0, 1.0}, {0, 1, 1.0}, {2, 2, 1.0}});
+  check(tie, {0, 1, 2}, 1, "tie");
+  // The corpus must make the elimination do work, not just permute.
+  EXPECT_GT(total_fill, 0);
+}
+
+TEST(BasisLuTest, ReachLimitedRefusalsOnLargeSparseBasis) {
+  const int m = 1000;
+  const ShapedBasis sb = deployment_shaped_basis(m, 42);
+  // A single-entry column whose row no other basis column touches.
+  std::vector<int> row_uses(static_cast<std::size_t>(m), 0);
+  for (const Triplet& t : sb.triplets) ++row_uses[static_cast<std::size_t>(t.row)];
+  int lone = -1;
+  for (const Triplet& t : sb.triplets) {
+    if (t.col >= sb.structural && row_uses[static_cast<std::size_t>(t.row)] == 1) {
+      lone = t.col;
+      break;
+    }
+  }
+  ASSERT_GE(lone, 0);
+  int lone_row = -1;
+  for (const Triplet& t : sb.triplets) {
+    if (t.col == lone) lone_row = t.row;
+  }
+  // Extra columns: m is a copy of structural column 0, m + 1 the lone
+  // single-entry column scaled down to a tiny-but-real pivot.
+  std::vector<Triplet> ts = sb.triplets;
+  for (const Triplet& t : sb.triplets) {
+    if (t.col == 0) ts.push_back({t.row, m, t.val});
+  }
+  const double tiny = 1e-10;
+  ts.push_back({lone_row, m + 1, tiny});
+  const SparseMatrix a = SparseMatrix::from_triplets(m, m + 2, ts);
+  const auto pos = [&](int col) {
+    return static_cast<std::size_t>(std::find(sb.basis.begin(), sb.basis.end(), col) -
+                                    sb.basis.begin());
+  };
+
+  // The copy of column 0 in place of the lone column: two equal columns.
+  std::vector<int> dup = sb.basis;
+  dup[pos(lone)] = m;
+  BasisLu lu;
+  EXPECT_FALSE(lu.factorize(a, dup));
+  EXPECT_FALSE(lu.factorized());
+  DenseLuReference ref;
+  EXPECT_FALSE(ref.factorize(a, dup));
+
+  // The tiny column in place of the lone column: accepted at the envelope
+  // floor, with the dense loop's factors; refused under a caller's floor.
+  std::vector<int> marginal = sb.basis;
+  marginal[pos(lone)] = m + 1;
+  ASSERT_TRUE(lu.factorize(a, marginal));
+  ASSERT_TRUE(ref.factorize(a, marginal));
+  EXPECT_EQ(lu.last_fill(), ref.fill());
+  expect_same_solves(lu, ref, m, 3, "marginal basis");
+  BasisLu strict;
+  EXPECT_FALSE(strict.factorize(a, marginal, 1e-9));
+  EXPECT_FALSE(ref.factorize(a, marginal, 1e-9));
 }
 
 // ---------------------------------------------------------------------------
