@@ -31,9 +31,10 @@ std::string rat_str(const Rat& r) {
   return s + " ~" + fmt(r.to_double());
 }
 
-/// Re-solves node LPs over reconstructed domains with one engine reused
-/// across nodes (so the shared deadline and counters carry over), always
-/// solving cold — see resolve() for why warm starts are wrong here.
+/// Loads node domains into one scratch problem (what exact bounding reads)
+/// and re-solves node LPs over them with one engine reused across nodes, so
+/// the shared deadline and counters carry over. Re-solves are always cold —
+/// see resolve() for why warm starts are wrong here.
 class NodeResolver {
  public:
   NodeResolver(const milp::Model& model, std::chrono::steady_clock::time_point deadline)
@@ -41,13 +42,19 @@ class NodeResolver {
     eng_.set_deadline(deadline);
   }
 
-  /// The node's LP with its domain applied — what exact bounding reads.
+  /// The LP of the node last loaded — what exact bounding reads.
   [[nodiscard]] const lp::Problem& problem() const { return scratch_; }
 
-  lp::SolveStatus resolve(const std::vector<std::pair<double, double>>& dom) {
+  void load(const std::vector<std::pair<double, double>>& dom) {
     for (std::size_t j = 0; j < dom.size(); ++j) {
       scratch_.set_var_bounds(static_cast<int>(j), dom[j].first, dom[j].second);
-      eng_.set_bound(static_cast<int>(j), dom[j].first, dom[j].second);
+    }
+  }
+
+  /// Re-solves the loaded node LP.
+  lp::SolveStatus resolve() {
+    for (int j = 0; j < scratch_.num_vars(); ++j) {
+      eng_.set_bound(j, scratch_.lo(j), scratch_.hi(j));
     }
     // Always solve from scratch. Unlike the branch-and-bound itself, the
     // replay visits nodes in LOG order, so consecutive domains differ in many
@@ -59,12 +66,41 @@ class NodeResolver {
     return eng_.solve();
   }
 
-  [[nodiscard]] lp::Certificate certificate() const { return eng_.extract_certificate(); }
+  /// The re-solve's proof vector: duals after kOptimal, Farkas ray after
+  /// kInfeasible.
+  [[nodiscard]] std::vector<double> proof_vector() const { return eng_.proof_vector(); }
 
  private:
   lp::Problem scratch_;
   lp::Simplex eng_;
 };
+
+/// A recorded AuditNode::proof as a dense row vector [m]. False, with `why`
+/// set, when it is malformed: a row out of range, a repeated row, or a
+/// non-finite value.
+bool dense_proof(const milp::ProofVector& rec, std::size_t m, std::vector<double>* y,
+                 std::string* why) {
+  y->assign(m, 0.0);
+  std::vector<char> seen(m, 0);
+  for (const auto& [row, val] : rec) {
+    if (row < 0 || static_cast<std::size_t>(row) >= m) {
+      *why = "row " + std::to_string(row) + " is out of range";
+      return false;
+    }
+    const auto r = static_cast<std::size_t>(row);
+    if (seen[r] != 0) {
+      *why = "row " + std::to_string(row) + " is repeated";
+      return false;
+    }
+    if (!std::isfinite(val)) {
+      *why = "row " + std::to_string(row) + " has a non-finite value";
+      return false;
+    }
+    seen[r] = 1;
+    (*y)[r] = val;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -148,13 +184,6 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
   const Severity prune_sev =
       log.status == milp::MipStatus::kOptimal ? Severity::kError : Severity::kWarning;
 
-  // Exact safe bound for a node whose domain is already loaded in `solver`.
-  // Returns false when no bound could be extracted.
-  const auto safe_bound = [&](Rat* z) {
-    const lp::Certificate cert = solver.certificate();
-    return exact_safe_dual_bound(solver.problem(), cert.y, z);
-  };
-
   // One diagnostic a node evaluation wants to emit; verdicts are gathered
   // per node and applied in one place below.
   struct Finding {
@@ -167,6 +196,22 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
     bool inconclusive = false;
     std::vector<Finding> finds;
   };
+
+  // Densifies node `id`'s recorded proof vector into `y`. False when it has
+  // none or it is malformed; a malformed one is reported once, on its own
+  // node, and then treated as absent.
+  std::vector<char> malformed(log.nodes.size(), 0);
+  const auto recorded = [&](int id, std::vector<double>* y) {
+    const auto idu = static_cast<std::size_t>(id);
+    if (!log.nodes[idu].proof || malformed[idu] != 0) return false;
+    std::string why;
+    if (dense_proof(*log.nodes[idu].proof, m, y, &why)) return true;
+    malformed[idu] = 1;
+    rep.add(Severity::kWarning, codes::kBnbExactResolve, "node" + std::to_string(id),
+            "recorded proof vector ignored (" + why + "); its LP is re-solved instead");
+    return false;
+  };
+  std::vector<double> rec_y;
 
   for (const milp::AuditNode& nd : log.nodes) {
     const bool needs_lp = nd.disp == milp::NodeDisp::kPrunedBound ||
@@ -195,9 +240,11 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
     // A skipped sibling was never solved — its prune leans on the PARENT's
     // bound, so that is the LP to re-prove.
     const int dom_node = nd.disp == milp::NodeDisp::kSkippedParentBound ? nd.parent : nd.id;
-    const std::vector<std::pair<double, double>> dom = milp::node_domain(model, log, dom_node);
+    solver.load(milp::node_domain(model, log, dom_node));
 
-    const auto evaluate = [&](lp::SolveStatus st) {
+    // Judges the loaded node LP from one proof vector `y`: duals when `st`
+    // is kOptimal, a Farkas ray when it is kInfeasible.
+    const auto evaluate = [&](lp::SolveStatus st, const std::vector<double>& y) {
       Verdict v;
       const auto fail = [&](std::string what) {
         v.inconclusive = true;
@@ -207,9 +254,8 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
       if (st == lp::SolveStatus::kInfeasible) {
         // Any disposition is justified by exact infeasibility of the node LP
         // — an infeasible node holds no solution at all.
-        const lp::Certificate cert = solver.certificate();
         std::string why;
-        if (cert.has_farkas_ray() && exact_farkas_proves(solver.problem(), cert.farkas, &why)) {
+        if (exact_farkas_proves(solver.problem(), y, &why)) {
           ++v.reproved;
           if (nd.disp != milp::NodeDisp::kPrunedInfeasible) {
             v.finds.push_back({Severity::kInfo, codes::kBnbExactNode,
@@ -225,9 +271,9 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
         return v;
       }
 
-      // Re-solve reached optimality: turn its duals into an exact lower bound.
+      // Turn the duals into an exact lower bound on the node LP.
       Rat z;
-      if (!safe_bound(&z)) {
+      if (!exact_safe_dual_bound(solver.problem(), y, &z)) {
         fail("no exact safe bound (reduced cost meets an infinite bound)");
         return v;
       }
@@ -281,7 +327,29 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
       return v;
     };
 
-    Verdict v = evaluate(solver.resolve(dom));
+    // The vector the driver recorded for this LP first: keep its verdict
+    // only when it re-proves the disposition with nothing to report.
+    // Anything else — no vector, a malformed one, a bound that falls short —
+    // is decided by a cold re-solve, so every prune diagnostic comes from
+    // that path. The exact bound and the Farkas check are sound for any vector,
+    // so a recorded one can save a re-solve but cannot pass an unsound
+    // prune.
+    Verdict v;
+    bool proved_from_record = false;
+    if (recorded(dom_node, &rec_y)) {
+      const lp::SolveStatus rec_st = log.nodes[static_cast<std::size_t>(dom_node)].lp_solved
+                                         ? lp::SolveStatus::kOptimal
+                                         : lp::SolveStatus::kInfeasible;
+      v = evaluate(rec_st, rec_y);
+      proved_from_record = v.reproved > 0 && !v.inconclusive && v.finds.empty();
+    }
+    if (proved_from_record) {
+      out.reproved_from_vectors += v.reproved;
+    } else {
+      ++out.resolves;
+      const lp::SolveStatus st = solver.resolve();
+      v = evaluate(st, solver.proof_vector());
+    }
     if (v.reproved > 0) {
       out.bounds_reproved += v.reproved;
       ND_OBS_COUNT("exact.bnb_bounds_reproved", v.reproved);
@@ -355,9 +423,13 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
     }
   }
 
+  ND_OBS_COUNT("exact.bnb_resolves", out.resolves);
   rep.add(Severity::kInfo, codes::kBnbExactNode, "tree",
-          "re-proved " + std::to_string(out.bounds_reproved) + " prune bound(s) exactly, " +
-              std::to_string(out.resolves_failed) + " re-solve(s) inconclusive");
+          std::to_string(out.bounds_reproved) + " re-proved: " +
+              std::to_string(out.reproved_from_vectors) + " from recorded vectors, " +
+              std::to_string(out.bounds_reproved - out.reproved_from_vectors) +
+              " after a cold re-solve; " + std::to_string(out.resolves_failed) +
+              " re-solve(s) inconclusive");
   return out;
 }
 
@@ -416,6 +488,8 @@ ExactBnbOutcome certify_bnb_exact(const milp::Model& model, const milp::AuditLog
   }
   ExactBnbOutcome tree = certify_bnb_exact_tree(reduced, log, opt);
   out.bounds_reproved = tree.bounds_reproved;
+  out.reproved_from_vectors = tree.reproved_from_vectors;
+  out.resolves = tree.resolves;
   out.resolves_failed = tree.resolves_failed;
   rep.merge(tree.report);
   return out;

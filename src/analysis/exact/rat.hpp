@@ -12,8 +12,11 @@
 //  - Every double is an exactly representable dyadic rational, so
 //    Rat(double) is lossless (frexp + 53-bit mantissa extraction). All
 //    downstream arithmetic is exact.
-//  - gcd is binary (ctz-based): dyadic inputs make power-of-two factors the
-//    common case, where binary gcd is near-free.
+//  - Reduction is dyadic-first: every double imports with a power-of-two
+//    denominator, and sums and products of such values keep one, so
+//    normalize() reduces those by a shift of min(ctz(num), ctz(den)) with
+//    no gcd at all. Other denominators take a binary (ctz-based) gcd, which
+//    stops as soon as either odd part is 1.
 //  - Division is Knuth's algorithm D. It exists for two callers: the exact
 //    division steps of fraction-free (Bareiss) elimination, and decimal
 //    printing. Rat itself never divides limbs except through gcd reduction.
@@ -200,6 +203,16 @@ class BigInt {
     return i * 64 + static_cast<std::size_t>(__builtin_ctzll(limbs_[i]));
   }
   bool is_odd() const { return !limbs_.empty() && (limbs_[0] & 1u); }
+  // |v| == 1.
+  bool is_unit() const { return limbs_.size() == 1 && limbs_[0] == 1u; }
+  // |v| is a power of two (false for zero).
+  bool is_pow2() const {
+    if (limbs_.empty()) return false;
+    for (std::size_t i = 0; i + 1 < limbs_.size(); ++i) {
+      if (limbs_[i] != 0) return false;
+    }
+    return (limbs_.back() & (limbs_.back() - 1)) == 0;
+  }
 
   // ---- division -------------------------------------------------------------
   // Knuth algorithm D on magnitudes. Quotient truncates toward zero;
@@ -250,6 +263,8 @@ class BigInt {
     a = a.shr(az);
     b = b.shr(bz);
     while (true) {
+      // An odd part of 1 leaves no odd factor in common.
+      if (a.is_unit() || b.is_unit()) return BigInt(1).shl(shift);
       int m = cmp_mag(a, b);
       if (m == 0) break;
       if (m < 0) std::swap(a, b);
@@ -520,6 +535,15 @@ class Rat {
     if (den_.is_negative()) {
       num_ = -num_;
       den_ = -den_;
+    }
+    if (den_.is_pow2()) {
+      // The only prime a power-of-two denominator can share is 2.
+      const std::size_t s = std::min(num_.ctz(), den_.ctz());
+      if (s != 0) {
+        num_ = num_.shr(s);
+        den_ = den_.shr(s);
+      }
+      return;
     }
     BigInt g = BigInt::gcd(num_, den_);
     if (g != BigInt(1)) {

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -275,14 +276,15 @@ class Parser {
     }
     if (pos_ == start) fail("expected a value");
     const std::string tok = s_.substr(start, pos_ - start);
-    try {
-      std::size_t used = 0;
-      const double d = std::stod(tok, &used);
-      if (used != tok.size()) fail("malformed number");
-      return Value(d);
-    } catch (const std::logic_error&) {
+    // strtod rather than stod: stod throws on the ERANGE a subnormal result
+    // raises, and dump() writes subnormals like any other double. A value
+    // that overflows to infinity stays malformed.
+    char* end = nullptr;
+    const double d = std::strtod(tok.c_str(), &end);
+    if (end != tok.c_str() + tok.size() || std::isinf(d)) {
       fail("malformed number '" + tok + "'");
     }
+    return Value(d);
   }
 
   Value array() {

@@ -137,12 +137,20 @@ class Simplex {
   /// Status of the most recent solve()/dual_resolve() call.
   [[nodiscard]] SolveStatus last_status() const;
 
-  /// Build a certificate for the most recent solve: row duals y = c_BᵀB⁻¹
-  /// (one BTRAN) and reduced costs recomputed from the ORIGINAL data
-  /// (d = c − Aᵀy) on kOptimal; a Farkas ray on kInfeasible (phase-1 duals,
-  /// or ±row of B⁻¹ at a dual-simplex breakdown row). The
-  /// certificate is relative to the engine's CURRENT variable bounds —
-  /// identical to the problem's unless set_bound() was used.
+  /// The most recent solve's proof vector over the rows [m]: the duals
+  /// y = B⁻ᵀc_B after kOptimal; the Farkas ray after kInfeasible (the
+  /// phase-1 duals, or ±row of B⁻¹ at a dual-simplex breakdown row); empty
+  /// after any other status. One BTRAN, counted in counters().btrans. The
+  /// vector depends only on the basis, so bound changes since the solve do
+  /// not alter it.
+  [[nodiscard]] std::vector<double> proof_vector() const;
+
+  /// Build a certificate for the most recent solve: proof_vector() as the
+  /// row duals y plus reduced costs recomputed from the ORIGINAL data
+  /// (d = c − Aᵀy) on kOptimal; proof_vector() as the Farkas ray on
+  /// kInfeasible. The certificate is relative to the engine's CURRENT
+  /// variable bounds — identical to the problem's unless set_bound() was
+  /// used.
   [[nodiscard]] Certificate extract_certificate() const;
 
  private:

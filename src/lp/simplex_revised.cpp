@@ -71,6 +71,7 @@ class RevisedEngine {
     return a_.bytes() + at_.bytes() + lu_.bytes();
   }
   [[nodiscard]] SolveStatus last_status() const { return last_status_; }
+  [[nodiscard]] std::vector<double> proof_vector() const;
   [[nodiscard]] Certificate extract_certificate() const;
 
  private:
@@ -1014,19 +1015,38 @@ std::vector<double> RevisedEngine::solution() const {
   return {xval_.begin(), xval_.begin() + n_};
 }
 
-Certificate RevisedEngine::extract_certificate() const {
-  Certificate cert;
-  cert.status = last_status_;
-  if (last_status_ == SolveStatus::kOptimal) {
-    // y = B⁻ᵀ c_B: one BTRAN.
-    std::vector<double> y(static_cast<std::size_t>(m_));
+std::vector<double> RevisedEngine::proof_vector() const {
+  if (last_status_ != SolveStatus::kOptimal && last_status_ != SolveStatus::kInfeasible) {
+    return {};
+  }
+  std::vector<double> y(static_cast<std::size_t>(m_), 0.0);
+  const bool breakdown = last_status_ == SolveStatus::kInfeasible && infeas_row_ >= 0;
+  if (breakdown) {
+    // Dual-simplex breakdown at row r: ρ = B⁻ᵀe_r is the ray, with the
+    // sign chosen by which bound the basic variable violated.
+    y[static_cast<std::size_t>(infeas_row_)] = 1.0;
+  } else {
+    // y = B⁻ᵀ c_B. After a phase-1 infeasibility exit cost_ still holds the
+    // phase-1 objective, so the same BTRAN yields the Farkas ray directly.
     for (int r = 0; r < m_; ++r) {
       y[static_cast<std::size_t>(r)] =
           cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
     }
-    lu_.btran(y);
-    ++counters_.btrans;
-    cert.y = y;
+  }
+  lu_.btran(y);
+  ++counters_.btrans;
+  if (breakdown) {
+    const double sign = infeas_need_increase_ ? -1.0 : 1.0;
+    for (double& v : y) v *= sign;
+  }
+  return y;
+}
+
+Certificate RevisedEngine::extract_certificate() const {
+  Certificate cert;
+  cert.status = last_status_;
+  if (last_status_ == SolveStatus::kOptimal) {
+    cert.y = proof_vector();
     // Reduced costs recomputed against the ORIGINAL data, not the engine's
     // incrementally-updated d_ — the certificate must not inherit drift.
     cert.d.resize(static_cast<std::size_t>(n_));
@@ -1035,7 +1055,7 @@ Certificate RevisedEngine::extract_certificate() const {
       acc.add(real_cost_[static_cast<std::size_t>(j)]);
       const SparseMatrix::ColView c = a_.col(j);
       for (int k = 0; k < c.len; ++k) {
-        acc.add_product(-y[static_cast<std::size_t>(c.idx[k])], c.val[k]);
+        acc.add_product(-cert.y[static_cast<std::size_t>(c.idx[k])], c.val[k]);
       }
       cert.d[static_cast<std::size_t>(j)] = acc.value();
     }
@@ -1044,25 +1064,7 @@ Certificate RevisedEngine::extract_certificate() const {
     cert.vstat.assign(stat_.begin(), stat_.begin() + n_);
     cert.basis = basis_;
   } else if (last_status_ == SolveStatus::kInfeasible) {
-    cert.farkas.assign(static_cast<std::size_t>(m_), 0.0);
-    if (infeas_row_ < 0) {
-      // Phase-1 proof: cost_ still holds the phase-1 objective, so the same
-      // y = B⁻ᵀ c_B BTRAN yields the Farkas ray directly.
-      for (int r = 0; r < m_; ++r) {
-        cert.farkas[static_cast<std::size_t>(r)] =
-            cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
-      }
-      lu_.btran(cert.farkas);
-      ++counters_.btrans;
-    } else {
-      // Dual-simplex breakdown at row r: ρ = B⁻ᵀe_r is the ray, with the
-      // sign chosen by which bound the basic variable violated.
-      cert.farkas[static_cast<std::size_t>(infeas_row_)] = 1.0;
-      lu_.btran(cert.farkas);
-      ++counters_.btrans;
-      const double sign = infeas_need_increase_ ? -1.0 : 1.0;
-      for (double& v : cert.farkas) v *= sign;
-    }
+    cert.farkas = proof_vector();
   }
   return cert;
 }
@@ -1096,6 +1098,7 @@ int Simplex::iterations() const { return impl_->iterations(); }
 const Simplex::Counters& Simplex::counters() const { return impl_->counters(); }
 long long Simplex::memory_bytes() const { return impl_->memory_bytes(); }
 SolveStatus Simplex::last_status() const { return impl_->last_status(); }
+std::vector<double> Simplex::proof_vector() const { return impl_->proof_vector(); }
 Certificate Simplex::extract_certificate() const { return impl_->extract_certificate(); }
 
 }  // namespace nd::lp

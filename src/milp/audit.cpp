@@ -90,7 +90,29 @@ json::Value node_to_json(const AuditNode& n) {
   o.emplace_back("incumbent_update", n.incumbent_update);
   o.emplace_back("incumbent_obj", num_to_json(n.incumbent_obj));
   o.emplace_back("t_ns", static_cast<double>(n.t_ns));
+  if (n.proof) {
+    json::Array rows, vals;
+    rows.reserve(n.proof->size());
+    vals.reserve(n.proof->size());
+    for (const auto& [row, val] : *n.proof) {
+      rows.emplace_back(row);
+      vals.emplace_back(num_to_json(val));
+    }
+    json::Object proof;
+    proof.emplace_back("rows", std::move(rows));
+    proof.emplace_back("vals", std::move(vals));
+    o.emplace_back("proof", std::move(proof));
+  }
   return o;
+}
+
+/// A recorded proof row index; -1 (which the exact replay rejects as out
+/// of range) for anything that is not an integer an int can hold.
+int proof_row_from_json(const json::Value& v) {
+  const double r = v.as_number();
+  if (!(r >= 0.0 && r <= static_cast<double>(std::numeric_limits<int>::max()))) return -1;
+  const int row = static_cast<int>(r);
+  return static_cast<double>(row) == r ? row : -1;  // fp-exact: integrality test
 }
 
 AuditNode node_from_json(const json::Value& v) {
@@ -111,6 +133,18 @@ AuditNode node_from_json(const json::Value& v) {
   // Logs written before timestamps existed have no "t_ns": treat as 0.
   const json::Value* t = v.find("t_ns");
   n.t_ns = t == nullptr ? 0 : static_cast<std::int64_t>(t->as_number());
+  // Logs written before proof vectors existed have no "proof": absent.
+  if (const json::Value* proof = v.find("proof")) {
+    const json::Array& rows = proof->at("rows").as_array();
+    const json::Array& vals = proof->at("vals").as_array();
+    if (rows.size() != vals.size()) {
+      throw std::invalid_argument("audit: proof rows and vals differ in length");
+    }
+    n.proof.emplace().reserve(rows.size());
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      n.proof->emplace_back(proof_row_from_json(rows[k]), num_from_json(vals[k]));
+    }
+  }
   return n;
 }
 

@@ -13,6 +13,7 @@
 // kOptimal is only claimed for a fully disposed tree.
 #pragma once
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,9 @@
 #include "milp/branch_and_bound.hpp"
 
 namespace nd::milp {
+
+/// Sparse row vector: (row, value) nonzeros.
+using ProofVector = std::vector<std::pair<int, double>>;
 
 /// How a node left the active set.
 enum class NodeDisp : std::uint8_t {
@@ -56,6 +60,19 @@ struct AuditNode {
   /// compute a time-to-incumbent trajectory, degenerating to "unknown" on
   /// legacy logs.
   std::int64_t t_ns = 0;
+  /// The node LP's proof vector as the solving engine held it
+  /// (lp::Simplex::proof_vector): the row duals y = B⁻ᵀc_B when the LP
+  /// solved (lp_solved), the Farkas ray when it proved infeasible
+  /// (kPrunedInfeasible). Stored as its (row, value) nonzeros in ascending
+  /// row order, sized exactly; an all-zero vector is an empty one. Absent
+  /// for nodes whose LP was never solved, and on logs written before the
+  /// field existed (the JSON round-trip leaves an absent field absent). The
+  /// exact replay (analysis/exact/certify_bnb_exact.hpp) checks it before
+  /// re-solving anything, and trusts none of it: the exact bound and the
+  /// Farkas check are sound for any vector, and a vector that is malformed
+  /// or does not prove the node's disposition sends the replay back to a
+  /// cold re-solve.
+  std::optional<ProofVector> proof;
 };
 
 /// One root reduced-cost fixing: variable frozen to a single bound for the

@@ -93,6 +93,21 @@ int detail::pick_branch_var(const Model& model, const lp::Simplex& engine, doubl
   return best;
 }
 
+std::optional<ProofVector> detail::record_proof(const lp::Simplex& engine) {
+  if (engine.last_status() != lp::SolveStatus::kOptimal &&
+      engine.last_status() != lp::SolveStatus::kInfeasible) {
+    return std::nullopt;
+  }
+  const std::vector<double> y = engine.proof_vector();
+  const auto nonzero = [](double v) { return v != 0.0; };  // fp-exact: sparsity
+  ProofVector proof;
+  proof.reserve(static_cast<std::size_t>(std::count_if(y.begin(), y.end(), nonzero)));
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    if (nonzero(y[r])) proof.emplace_back(static_cast<int>(r), y[r]);
+  }
+  return proof;
+}
+
 MipResult solve(const Model& model, const MipOptions& opt) {
   // Root presolve first (solve_presolved calls back here with presolve off
   // and the REDUCED model, so the thread dispatch below applies to it too).
@@ -154,8 +169,11 @@ MipResult solve(const Model& model, const MipOptions& opt) {
     ND_OBS_COUNT("bnb.cold_solves", engine.counters().solves);
     ND_OBS_COUNT("bnb.warm_resolves", engine.counters().dual_resolves);
     if (aud != nullptr) {
-      ND_OBS_COUNT("mem.audit.bytes",
-                   static_cast<long long>(aud->nodes.capacity() * sizeof(AuditNode)));
+      std::size_t bytes = aud->nodes.capacity() * sizeof(AuditNode);
+      for (const AuditNode& node : aud->nodes) {
+        if (node.proof) bytes += node.proof->capacity() * sizeof(ProofVector::value_type);
+      }
+      ND_OBS_COUNT("mem.audit.bytes", static_cast<long long>(bytes));
     }
     lp::emit_lp_counters(engine);
   };
@@ -184,6 +202,7 @@ MipResult solve(const Model& model, const MipOptions& opt) {
     res.lp_iterations = engine.iterations();
     if (aud != nullptr) {
       aud->root_bound = res.best_bound;
+      aud->nodes[0].proof = detail::record_proof(engine);
       aud->nodes[0].disp = NodeDisp::kPrunedInfeasible;
       aud->nodes[0].t_ns = obs::now_ns() - solve_start_ns;
     }
@@ -297,6 +316,9 @@ MipResult solve(const Model& model, const MipOptions& opt) {
     }
     if (aud != nullptr) {
       AuditNode& node = aud->nodes[static_cast<std::size_t>(cur_node)];
+      // The engine still holds this node's LP: its basis gives the proof
+      // vector (root fixings since the root solve moved bounds only).
+      node.proof = detail::record_proof(engine);
       if (node_solved) {
         node.lp_solved = true;
         node.bound = node_obj;

@@ -354,6 +354,7 @@ void worker_main(const SearchConfig& cfg, SearchState& st, AuditShard& shard) {
         ND_ASSERT(s != lp::SolveStatus::kUnbounded,
                   "deployment MILPs have bounded variables; unbounded node LP "
                   "indicates a model bug");
+        if (cfg.audit) node.proof = record_proof(engine);
         if (s == lp::SolveStatus::kIterLimit) {
           node.disp = NodeDisp::kLimit;
           hit_limit = true;
@@ -575,7 +576,10 @@ MipResult solve_parallel(const Model& model, const MipOptions& opt, int threads)
   AuditNode root;
   root.id = 0;
   st.next_id = 1;
-  if (aud != nullptr) aud->root_cert = root_engine.extract_certificate();
+  if (aud != nullptr) {
+    aud->root_cert = root_engine.extract_certificate();
+    root.proof = record_proof(root_engine);
+  }
 
   const auto finish = [&](MipStatus status, double best_bound) {
     res.status = status;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/json.hpp"
 
@@ -55,6 +56,7 @@ TEST(Json, RejectsMalformed) {
   EXPECT_THROW(parse("1 2"), std::invalid_argument);  // trailing token
   EXPECT_THROW(parse("\"unterminated"), std::invalid_argument);
   EXPECT_THROW(parse("nan"), std::invalid_argument);
+  EXPECT_THROW(parse("1e999"), std::invalid_argument);  // overflows a double
 }
 
 TEST(Json, TypeMismatchThrows) {
@@ -81,7 +83,8 @@ TEST(Json, RoundTripPreservesStructure) {
 }
 
 TEST(Json, NumberPrecisionRoundTrip) {
-  const double vals[] = {1.0 / 3.0, 2.5e-10, 1e15, -0.0, 123456789.123456789};
+  const double vals[] = {1.0 / 3.0, 2.5e-10, 1e15, -0.0, 123456789.123456789,
+                         std::numeric_limits<double>::denorm_min(), -1e-310};
   for (const double d : vals) {
     const Value v = Value(d);
     EXPECT_DOUBLE_EQ(parse(v.dump()).as_number(), d) << d;

@@ -25,6 +25,7 @@
 #include "milp/audit.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -725,32 +726,9 @@ TEST(EngineDifferential, PricingRulesAgreeOnTheOptimum) {
   }
 }
 
-Model random_binary_mip(int n, int m, std::uint64_t seed) {
-  Prng g(seed);
-  Model mod;
-  for (int j = 0; j < n; ++j) {
-    mod.add_bin(g.uniform(-5.0, 5.0), "b" + std::to_string(j));
-  }
-  for (int r = 0; r < m; ++r) {
-    std::vector<std::pair<int, double>> coef;
-    for (int j = 0; j < n; ++j) {
-      if (g.bernoulli(0.6)) coef.emplace_back(j, g.uniform(0.1, 2.0));
-    }
-    if (coef.empty()) coef.emplace_back(0, 1.0);
-    mod.add_row(coef, Sense::LE, g.uniform(1.0, static_cast<double>(n)));
-  }
-  return mod;
-}
-
-// random_binary_mip(10, 6, seed * 733), proved optimal.
-const std::pair<std::uint64_t, double> kGoldenMilp[] = {
-    {1, -18.971896743000119}, {2, -1.3461441928048643}, {3, -12.849125554900967},
-    {4, -8.9188369891902877}, {5, -9.8473137155276014},
-};
-
 TEST(EngineDifferential, MilpEngineEqualityAcrossThreadCounts) {
-  for (const auto& [seed, golden] : kGoldenMilp) {
-    const Model mod = random_binary_mip(10, 6, seed * 733);
+  for (const auto& [seed, golden] : nd::test::kGoldenMilp) {
+    const Model mod = nd::test::golden_milp(seed);
     for (const int threads : {1, 2, 4}) {
       MipOptions opt;
       opt.num_threads = threads;

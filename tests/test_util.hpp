@@ -1,9 +1,16 @@
-// Shared helpers for deployment-level tests: small, fast problem instances.
+// Shared test helpers: small, fast deployment instances and the golden MILP
+// corpus.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/prng.hpp"
 #include "deploy/problem.hpp"
+#include "milp/model.hpp"
 
 namespace nd::test {
 
@@ -46,5 +53,32 @@ inline std::unique_ptr<deploy::DeploymentProblem> tiny_problem(const TinySpec& s
   p->set_horizon(p->horizon_for_alpha(spec.alpha));
   return p;
 }
+
+/// Seeded random binary program: n binaries with objective coefficients in
+/// [-5, 5] and m LE rows of nonnegative coefficients.
+inline milp::Model random_binary_mip(int n, int m, std::uint64_t seed) {
+  Prng g(seed);
+  milp::Model mod;
+  for (int j = 0; j < n; ++j) {
+    mod.add_bin(g.uniform(-5.0, 5.0), "b" + std::to_string(j));
+  }
+  for (int r = 0; r < m; ++r) {
+    std::vector<std::pair<int, double>> coef;
+    for (int j = 0; j < n; ++j) {
+      if (g.bernoulli(0.6)) coef.emplace_back(j, g.uniform(0.1, 2.0));
+    }
+    if (coef.empty()) coef.emplace_back(0, 1.0);
+    mod.add_row(coef, lp::Sense::LE, g.uniform(1.0, static_cast<double>(n)));
+  }
+  return mod;
+}
+
+/// The golden MILP corpus: golden_milp(seed) proved optimal at these
+/// objectives, for every thread count.
+inline constexpr std::pair<std::uint64_t, double> kGoldenMilp[] = {
+    {1, -18.971896743000119}, {2, -1.3461441928048643}, {3, -12.849125554900967},
+    {4, -8.9188369891902877}, {5, -9.8473137155276014},
+};
+inline milp::Model golden_milp(std::uint64_t seed) { return random_binary_mip(10, 6, seed * 733); }
 
 }  // namespace nd::test
