@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -106,10 +107,23 @@ bool dense_proof(const milp::ProofVector& rec, std::size_t m, std::vector<double
 
 namespace {
 
+/// Wall time of the replay's two halves, emitted once per certify_bnb_exact
+/// call as exact.time.root_ns and exact.time.nodes_ns.
+struct ReplayTimes {
+  std::int64_t root_ns = 0;
+  std::int64_t nodes_ns = 0;
+};
+
+/// False for an interval lp::Problem::set_var_bounds refuses: inverted (or
+/// NaN), or with no finite end.
+bool loadable(double lo, double hi) {
+  return lo <= hi && (std::isfinite(lo) || std::isfinite(hi));
+}
+
 /// The exact tree replay proper, against the model the tree actually
 /// searched (the original model, or the presolve-reduced one).
 ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::AuditLog& log,
-                                       const CertifyBnbExactOptions& opt) {
+                                       const CertifyBnbExactOptions& opt, ReplayTimes* times) {
   ExactBnbOutcome out;
   Report& rep = out.report;
 
@@ -132,9 +146,30 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
       return out;
     }
   }
+  // Every interval node_domain loads — a branch interval or a root fixing on
+  // a variable of the model — must be one the scratch LP accepts.
+  bool intervals_ok = true;
+  const auto check_interval = [&](const std::string& subject, const char* what, int var,
+                                  double lo, double hi) {
+    if (var < 0 || static_cast<std::size_t>(var) >= n || loadable(lo, hi)) return;
+    rep.add(Severity::kError, codes::kBnbStructure, subject,
+            std::string(what) + " [" + fmt(lo) + ", " + fmt(hi) + "] on var " +
+                std::to_string(var) + " is inverted or has no finite end");
+    intervals_ok = false;
+  };
+  for (std::size_t i = 1; i < log.nodes.size(); ++i) {
+    const milp::AuditNode& nd = log.nodes[i];
+    check_interval("node" + std::to_string(i), "branch interval", nd.var, nd.lo, nd.hi);
+  }
+  for (const milp::RootFixing& f : log.root_fixings) {
+    check_interval("var" + std::to_string(f.var), "root fixing", f.var, f.lo, f.hi);
+  }
+  if (!intervals_ok) return out;
 
   // ---- Root: full exact certificate re-check.
+  const std::int64_t root_start = obs::now_ns();
   ExactLpOutcome root = certify_lp_exact(model.lp(), log.root_cert);
+  times->root_ns = obs::now_ns() - root_start;
   rep.merge(root.report);
 
   if (log.root_cert.status == lp::SolveStatus::kInfeasible) {
@@ -213,6 +248,7 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
   };
   std::vector<double> rec_y;
 
+  const std::int64_t nodes_start = obs::now_ns();
   for (const milp::AuditNode& nd : log.nodes) {
     const bool needs_lp = nd.disp == milp::NodeDisp::kPrunedBound ||
                           nd.disp == milp::NodeDisp::kSkippedParentBound ||
@@ -357,6 +393,7 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
     if (v.inconclusive) ++out.resolves_failed;
     for (Finding& f : v.finds) rep.add(f.sev, f.code, subject, std::move(f.msg));
   }
+  times->nodes_ns = obs::now_ns() - nodes_start;
 
   // ---- Root reduced-cost fixings against the EXACT root reduced costs.
   if (!log.root_fixings.empty()) {
@@ -433,17 +470,14 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
   return out;
 }
 
-}  // namespace
-
-ExactBnbOutcome certify_bnb_exact(const milp::Model& model, const milp::AuditLog& log,
-                                  const CertifyBnbExactOptions& opt) {
-  if (!log.presolved) return certify_bnb_exact_tree(model, log, opt);
-
-  // Presolved audit: mechanically replay the reduction log with the same
-  // deterministic code the solver used (the reductions themselves are proved
-  // by analysis/presolve's certify_presolve), then re-prove the tree against
-  // the reconstructed reduced model. All mechanical comparisons here are
-  // EXACT — shared code must reproduce the claims bit-for-bit.
+/// Presolved audit: mechanically replay the reduction log with the same
+/// deterministic code the solver used (the reductions themselves are proved
+/// by analysis/presolve's certify_presolve), then re-prove the tree against
+/// the reconstructed reduced model. All mechanical comparisons here are
+/// EXACT — shared code must reproduce the claims bit-for-bit.
+ExactBnbOutcome certify_bnb_exact_presolved(const milp::Model& model, const milp::AuditLog& log,
+                                            const CertifyBnbExactOptions& opt,
+                                            ReplayTimes* times) {
   ExactBnbOutcome out;
   Report& rep = out.report;
   {
@@ -486,12 +520,24 @@ ExactBnbOutcome certify_bnb_exact(const milp::Model& model, const milp::AuditLog
     }
     return out;
   }
-  ExactBnbOutcome tree = certify_bnb_exact_tree(reduced, log, opt);
+  ExactBnbOutcome tree = certify_bnb_exact_tree(reduced, log, opt, times);
   out.bounds_reproved = tree.bounds_reproved;
   out.reproved_from_vectors = tree.reproved_from_vectors;
   out.resolves = tree.resolves;
   out.resolves_failed = tree.resolves_failed;
   rep.merge(tree.report);
+  return out;
+}
+
+}  // namespace
+
+ExactBnbOutcome certify_bnb_exact(const milp::Model& model, const milp::AuditLog& log,
+                                  const CertifyBnbExactOptions& opt) {
+  ReplayTimes times;
+  ExactBnbOutcome out = log.presolved ? certify_bnb_exact_presolved(model, log, opt, &times)
+                                      : certify_bnb_exact_tree(model, log, opt, &times);
+  ND_OBS_COUNT("exact.time.root_ns", times.root_ns);
+  ND_OBS_COUNT("exact.time.nodes_ns", times.nodes_ns);
   return out;
 }
 

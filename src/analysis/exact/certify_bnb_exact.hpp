@@ -43,8 +43,14 @@
 // FAILS is an error when the log claims kOptimal — the optimality proof has
 // a hole — but a warning under kFeasible, where the incumbent and best_bound
 // stand regardless of which subtrees were discarded. Run the float replay
-// first for tree-structure checks — this pass assumes parent links are sane
-// and bails with kBnbStructure otherwise.
+// first for tree-structure checks. This pass checks only what it needs to
+// load node domains — creation-ordered ids and parents, and every branch
+// interval and root fixing it loads being one lp::Problem accepts (lo ≤ hi,
+// a finite end) — and bails with kBnbStructure before loading any node
+// otherwise.
+//
+// Telemetry: exact.time.root_ns (the root certify_lp_exact) and
+// exact.time.nodes_ns (the node pass), once per certify_bnb_exact call.
 #pragma once
 
 #include "analysis/diagnostics.hpp"

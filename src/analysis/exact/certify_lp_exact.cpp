@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "analysis/exact/envelope.hpp"
+#include "analysis/exact/rat_lu.hpp"
 #include "obs/obs.hpp"
 
 namespace nd::analysis {
@@ -24,62 +26,54 @@ std::string rat_str(const Rat& v) {
   return s + " (~" + std::to_string(v.to_double()) + ")";
 }
 
+/// The odd part of the lcm of the denominators in `v`: D·v_i is dyadic for
+/// every i. 1 when every denominator is a power of two.
+BigInt odd_common_denominator(const std::vector<Rat>& v) {
+  BigInt D(1);
+  for (const Rat& r : v) {
+    if (r.den().is_pow2()) continue;
+    const BigInt odd = r.den().shr(r.den().ctz());
+    if (odd == D) continue;
+    D = D * BigInt::div_exact(odd, BigInt::gcd(D, odd));
+  }
+  return D;
+}
+
+/// D·v as a dyadic, for D a multiple of the odd part of v's denominator.
+Dyadic scaled(const Rat& v, const BigInt& D) {
+  const BigInt& den = v.den();
+  const std::size_t s = den.ctz();
+  const auto e = -static_cast<std::int64_t>(s);
+  if (D.is_unit()) return Dyadic(v.num(), e);
+  if (den.is_pow2()) return Dyadic(v.num() * D, e);
+  return Dyadic(v.num() * BigInt::div_exact(D, den.shr(s)), e);
+}
+
+/// D·v for a double v.
+Dyadic times(double v, const BigInt& D) {
+  return D.is_unit() ? Dyadic(v) : Dyadic(v) * Dyadic(D);
+}
+
+/// The value whose D-multiple `s` is.
+Rat unscaled(const Dyadic& s, const BigInt& D) {
+  return D.is_unit() ? s.to_rat() : s.to_rat() / Rat(D, BigInt(1));
+}
+
 }  // namespace
 
 bool solve_exact_linear_system(std::vector<std::vector<Rat>> M, std::vector<Rat> rhs,
                                std::vector<Rat>* x) {
   const std::size_t k = M.size();
   x->assign(k, Rat());
-  if (k == 0) return true;
-
-  // Scale each augmented row [M_i | rhs_i] to integers: multiply by the lcm
-  // of the denominators (a power of two whenever the data came from doubles,
-  // so this is cheap shifts in the common case).
-  std::vector<std::vector<BigInt>> aug(k, std::vector<BigInt>(k + 1));
+  std::vector<RatLu::Entry> entries;
   for (std::size_t i = 0; i < k; ++i) {
-    BigInt lcm(1);
-    auto fold = [&lcm](const Rat& e) {
-      const BigInt& d = e.den();
-      lcm = BigInt::div_exact(lcm, BigInt::gcd(lcm, d)) * d;
-    };
-    for (const Rat& e : M[i]) fold(e);
-    fold(rhs[i]);
     for (std::size_t j = 0; j < k; ++j) {
-      aug[i][j] = M[i][j].num() * BigInt::div_exact(lcm, M[i][j].den());
+      if (!M[i][j].is_zero()) entries.push_back({i, j, std::move(M[i][j])});
     }
-    aug[i][k] = rhs[i].num() * BigInt::div_exact(lcm, rhs[i].den());
   }
-
-  // Fraction-free (Bareiss) forward elimination with row pivoting. Every
-  // division is exact by the Sylvester identity; div_exact throws if not,
-  // which would flag a logic error rather than silently losing precision.
-  BigInt prev(1);
-  for (std::size_t t = 0; t + 1 <= k; ++t) {
-    std::size_t piv = t;
-    while (piv < k && aug[piv][t].is_zero()) ++piv;
-    if (piv == k) return false;  // singular
-    if (piv != t) std::swap(aug[piv], aug[t]);
-    for (std::size_t i = t + 1; i < k; ++i) {
-      for (std::size_t j = t + 1; j <= k; ++j) {
-        aug[i][j] =
-            BigInt::div_exact(aug[t][t] * aug[i][j] - aug[i][t] * aug[t][j], prev);
-      }
-      aug[i][t] = BigInt();
-    }
-    prev = aug[t][t];
-  }
-
-  // Integer back-substitution via Cramer: with d the final pivot (the
-  // determinant of the permuted scaled matrix, up to sign), p_i = d·x_i is an
-  // integer and (d·rhs_i − Σ_{j>i} U_ij·p_j) is exactly divisible by U_ii.
-  const BigInt d = aug[k - 1][k - 1];
-  std::vector<BigInt> pvec(k);
-  for (std::size_t i = k; i-- > 0;) {
-    BigInt s = d * aug[i][k];
-    for (std::size_t j = i + 1; j < k; ++j) s -= aug[i][j] * pvec[j];
-    pvec[i] = BigInt::div_exact(s, aug[i][i]);
-    (*x)[i] = Rat(pvec[i], d);
-  }
+  RatLu lu;
+  if (!lu.factorize(k, entries)) return false;
+  *x = lu.solve(std::move(rhs));
   return true;
 }
 
@@ -91,40 +85,38 @@ bool exact_safe_dual_bound(const lp::Problem& p, const std::vector<double>& y,
 
   // Sign-project the duals so yᵀ(Ax − b) ≤ 0 holds for every feasible x
   // regardless of what the caller handed us.
-  std::vector<Rat> ys(m);
+  std::vector<Dyadic> ys(m);
   for (std::size_t r = 0; r < m; ++r) {
     if (!finite(y[r])) return false;
-    Rat yr{y[r]};
+    Dyadic yr{y[r]};
     const Sense s = p.row(static_cast<int>(r)).sense;
-    if ((s == Sense::LE && yr.sign() > 0) || (s == Sense::GE && yr.sign() < 0)) {
-      yr = Rat(0);
-    }
+    if ((s == Sense::LE && yr.sign() > 0) || (s == Sense::GE && yr.sign() < 0)) continue;
     ys[r] = std::move(yr);
   }
 
-  // d = c − Aᵀy, exactly.
-  std::vector<Rat> d(n);
-  for (std::size_t j = 0; j < n; ++j) d[j] = Rat(p.obj(static_cast<int>(j)));
+  // d = c − Aᵀy, exactly: every term is a product of two doubles.
+  std::vector<Dyadic> d(n);
+  for (std::size_t j = 0; j < n; ++j) d[j] = Dyadic(p.obj(static_cast<int>(j)));
   for (std::size_t r = 0; r < m; ++r) {
     if (ys[r].is_zero()) continue;
     for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
-      d[static_cast<std::size_t>(j)] -= Rat(v) * ys[r];
+      d[static_cast<std::size_t>(j)].add_product(v, ys[r], true);
     }
   }
 
   // bound = yᵀb + Σ_j min over the box of d_j·x_j.
-  Rat b;
+  Dyadic b;
   for (std::size_t r = 0; r < m; ++r) {
-    if (!ys[r].is_zero()) b += ys[r] * Rat(p.row(static_cast<int>(r)).rhs);
+    if (!ys[r].is_zero()) b.add_product(p.row(static_cast<int>(r)).rhs, ys[r]);
   }
   for (std::size_t j = 0; j < n; ++j) {
     const int sgn = d[j].sign();
     if (sgn == 0) continue;
     const double bnd = sgn > 0 ? p.lo(static_cast<int>(j)) : p.hi(static_cast<int>(j));
     if (!finite(bnd)) return false;  // min is −∞: no valid bound from this y
-    b += d[j] * Rat(bnd);
+    b.add_product(bnd, d[j]);
   }
-  *bound = std::move(b);
+  *bound = b.to_rat();
   return true;
 }
 
@@ -145,28 +137,26 @@ bool exact_farkas_proves(const lp::Problem& p, const std::vector<double>& ray,
   // are projected to zero first — the check is self-contained, so it remains
   // sound for ANY vector, and float engines routinely leave sign noise at
   // roundoff scale that a tolerance would have hidden.
-  std::vector<Rat> yr(m);
-  Rat ytb;
+  std::vector<Dyadic> yr(m);
+  Dyadic ytb;
   for (std::size_t r = 0; r < m; ++r) {
     if (!finite(ray[r])) return fail("non-finite ray component");
-    yr[r] = Rat(ray[r]);
+    Dyadic v{ray[r]};
     const Sense s = p.row(static_cast<int>(r)).sense;
-    if ((s == Sense::LE && yr[r].sign() > 0) || (s == Sense::GE && yr[r].sign() < 0)) {
-      yr[r] = Rat();
-      continue;
-    }
-    ytb += yr[r] * Rat(p.row(static_cast<int>(r)).rhs);
+    if ((s == Sense::LE && v.sign() > 0) || (s == Sense::GE && v.sign() < 0)) continue;
+    ytb.add_product(p.row(static_cast<int>(r)).rhs, v);
+    yr[r] = std::move(v);
   }
 
-  std::vector<Rat> w(n);
+  std::vector<Dyadic> w(n);
   for (std::size_t r = 0; r < m; ++r) {
     if (yr[r].is_zero()) continue;
     for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
-      w[static_cast<std::size_t>(j)] += Rat(v) * yr[r];
+      w[static_cast<std::size_t>(j)].add_product(v, yr[r]);
     }
   }
 
-  Rat boxsup;
+  Dyadic boxsup;
   for (std::size_t j = 0; j < n; ++j) {
     const int sgn = w[j].sign();
     if (sgn == 0) continue;
@@ -174,12 +164,12 @@ bool exact_farkas_proves(const lp::Problem& p, const std::vector<double>& ray,
     if (!finite(bnd)) {
       return fail("var " + std::to_string(j) + ": box supremum is +inf");
     }
-    boxsup += w[j] * Rat(bnd);
+    boxsup.add_product(bnd, w[j]);
   }
 
   if (boxsup >= ytb) {
-    return fail("box supremum " + rat_str(boxsup) + " does not fall strictly below y'b " +
-                rat_str(ytb));
+    return fail("box supremum " + rat_str(boxsup.to_rat()) +
+                " does not fall strictly below y'b " + rat_str(ytb.to_rat()));
   }
   return true;
 }
@@ -268,43 +258,54 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
 
   // ---- exact basic solution ------------------------------------------------
   // Nonbasic structurals rest on their vstat bound; the tight-row core
-  // A[T,J]·x_J = b_T − A[T,N]·x_N determines the basics.
+  // A[T,J]·x_J = b_T − A[T,N]·x_N determines the basics, and
+  // A[T,J]ᵀ·y_T = c_J the duals. One sparse LU of the core serves both.
   const std::size_t k = J.size();
-  std::vector<Rat> xN(n);
+  std::vector<double> xN(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     if (is_basic[j]) continue;
-    xN[j] = Rat(cert.vstat[j] == VarStatus::kAtLower ? p.lo(static_cast<int>(j))
-                                                     : p.hi(static_cast<int>(j)));
+    xN[j] = cert.vstat[j] == VarStatus::kAtLower ? p.lo(static_cast<int>(j))
+                                                 : p.hi(static_cast<int>(j));
   }
   std::vector<std::size_t> col_of(n, k);
   for (std::size_t a = 0; a < k; ++a) col_of[J[a]] = a;
 
-  std::vector<std::vector<Rat>> M(k, std::vector<Rat>(k));
+  std::vector<RatLu::Entry> core;
   std::vector<Rat> rhs(k);
   for (std::size_t a = 0; a < k; ++a) {
     const int r = static_cast<int>(T[a]);
-    rhs[a] = Rat(p.row(r).rhs);
+    Dyadic b{p.row(r).rhs};
     for (const auto& [j, v] : p.row(r).coef) {
       const std::size_t js = static_cast<std::size_t>(j);
       if (is_basic[js]) {
-        M[a][col_of[js]] += Rat(v);
+        core.push_back({a, col_of[js], Rat(v)});
       } else {
-        rhs[a] -= Rat(v) * xN[js];
+        b.add_product(v, Dyadic(xN[js]), true);
       }
     }
+    rhs[a] = b.to_rat();
   }
 
-  std::vector<Rat> xJ;
-  if (!solve_exact_linear_system(M, rhs, &xJ)) {
+  RatLu lu;
+  if (!lu.factorize(k, core)) {
     rep.add(Severity::kError, codes::kLpExactBasis, "basis",
             "basis matrix is exactly singular");
     return out;
   }
   out.basis_solved = true;
+  const std::vector<Rat> xJ = lu.solve(std::move(rhs));
 
   out.exact_x.assign(n, Rat());
-  for (std::size_t j = 0; j < n; ++j) out.exact_x[j] = xN[j];
+  for (std::size_t j = 0; j < n; ++j) {
+    if (!is_basic[j]) out.exact_x[j] = Rat(xN[j]);
+  }
   for (std::size_t a = 0; a < k; ++a) out.exact_x[J[a]] = xJ[a];
+
+  // Dx·x is dyadic for Dx the odd part of x's common denominator, so every
+  // sum over x below is a dyadic sum, compared against its bound times Dx.
+  const BigInt Dx = odd_common_denominator(xJ);
+  std::vector<Dyadic> xs(n);
+  for (std::size_t j = 0; j < n; ++j) xs[j] = scaled(out.exact_x[j], Dx);
 
   // ---- exact primal feasibility (zero tolerance; honest engines can stop
   // at a marginally infeasible basis, so violations are warnings that carry
@@ -312,61 +313,60 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
   out.primal_exact_feasible = true;
   for (std::size_t j = 0; j < n; ++j) {
     const double lo = p.lo(static_cast<int>(j)), hi = p.hi(static_cast<int>(j));
-    if (finite(lo) && out.exact_x[j] < Rat(lo)) {
+    if (finite(lo) && xs[j] < times(lo, Dx)) {
       out.primal_exact_feasible = false;
       rep.add(Severity::kWarning, codes::kLpExactPrimal, p.name(static_cast<int>(j)),
               "exact basic value undershoots lo by " + rat_str(Rat(lo) - out.exact_x[j]));
     }
-    if (finite(hi) && out.exact_x[j] > Rat(hi)) {
+    if (finite(hi) && xs[j] > times(hi, Dx)) {
       out.primal_exact_feasible = false;
       rep.add(Severity::kWarning, codes::kLpExactPrimal, p.name(static_cast<int>(j)),
               "exact basic value overshoots hi by " + rat_str(out.exact_x[j] - Rat(hi)));
     }
   }
   for (std::size_t r = 0; r < m; ++r) {
-    Rat lhs;
+    Dyadic excess = -times(p.row(static_cast<int>(r)).rhs, Dx);  // Dx·(aᵀx − b)
     for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
-      lhs += Rat(v) * out.exact_x[static_cast<std::size_t>(j)];
+      excess.add_product(v, xs[static_cast<std::size_t>(j)]);
     }
-    const Rat b{p.row(static_cast<int>(r)).rhs};
     const Sense s = p.row(static_cast<int>(r)).sense;
-    const bool bad = (s == Sense::LE && lhs > b) || (s == Sense::GE && lhs < b) ||
-                     (s == Sense::EQ && lhs != b);
+    const int sgn = excess.sign();
+    const bool bad = (s == Sense::LE && sgn > 0) || (s == Sense::GE && sgn < 0) ||
+                     (s == Sense::EQ && sgn != 0);
     if (bad) {
       out.primal_exact_feasible = false;
       rep.add(Severity::kWarning, codes::kLpExactPrimal, "row " + std::to_string(r),
-              "exact row activity violates the sense by " + rat_str((lhs - b).abs()));
+              "exact row activity violates the sense by " +
+                  rat_str(unscaled(excess.abs(), Dx)));
     }
   }
 
   // ---- exact duals ---------------------------------------------------------
   // y is zero on rows whose slack is basic; on tight rows it solves
   // A[T,J]ᵀ·y_T = c_J (the reduced cost of every basic column is zero).
-  std::vector<std::vector<Rat>> Mt(k, std::vector<Rat>(k));
   std::vector<Rat> cJ(k);
-  for (std::size_t a = 0; a < k; ++a) {
-    for (std::size_t b2 = 0; b2 < k; ++b2) Mt[b2][a] = M[a][b2];
-    cJ[a] = Rat(p.obj(static_cast<int>(J[a])));
-  }
-  std::vector<Rat> yT;
-  if (!solve_exact_linear_system(Mt, cJ, &yT)) {
-    rep.add(Severity::kError, codes::kLpExactBasis, "basis",
-            "basis matrix is exactly singular (dual system)");
-    return out;
-  }
+  for (std::size_t a = 0; a < k; ++a) cJ[a] = Rat(p.obj(static_cast<int>(J[a])));
+  const std::vector<Rat> yT = lu.solve_transposed(std::move(cJ));
   out.exact_y.assign(m, Rat());
   for (std::size_t a = 0; a < k; ++a) out.exact_y[T[a]] = yT[a];
 
-  out.exact_d.assign(n, Rat());
-  for (std::size_t j = 0; j < n; ++j) out.exact_d[j] = Rat(p.obj(static_cast<int>(j)));
+  // Dy·d = Dy·c − Aᵀ(Dy·y), dyadic for Dy the odd part of y's common
+  // denominator; the reduced costs themselves are Dy·d / Dy.
+  const BigInt Dy = odd_common_denominator(yT);
+  std::vector<Dyadic> ys(m);
+  for (std::size_t a = 0; a < k; ++a) ys[T[a]] = scaled(yT[a], Dy);
+  std::vector<Dyadic> ds(n);
+  for (std::size_t j = 0; j < n; ++j) ds[j] = times(p.obj(static_cast<int>(j)), Dy);
   for (std::size_t r = 0; r < m; ++r) {
-    if (out.exact_y[r].is_zero()) continue;
+    if (ys[r].is_zero()) continue;
     for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
-      out.exact_d[static_cast<std::size_t>(j)] -= Rat(v) * out.exact_y[r];
+      ds[static_cast<std::size_t>(j)].add_product(v, ys[r], true);
     }
   }
+  out.exact_d.assign(n, Rat());
+  for (std::size_t j = 0; j < n; ++j) out.exact_d[j] = unscaled(ds[j], Dy);
   for (const std::size_t j : J) {
-    if (!out.exact_d[j].is_zero()) {
+    if (!ds[j].is_zero()) {
       rep.add(Severity::kError, codes::kLpExactBasis, p.name(static_cast<int>(j)),
               "internal: reduced cost of a basic column is not exactly zero");
       return out;
@@ -390,7 +390,7 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
     const double lo = p.lo(static_cast<int>(j)), hi = p.hi(static_cast<int>(j));
     if (finite(lo) && finite(hi) && Rat(lo) == Rat(hi)) continue;  // fixed: any sign
     const bool at_lower = cert.vstat[j] == VarStatus::kAtLower;
-    const bool bad = at_lower ? out.exact_d[j].sign() < 0 : out.exact_d[j].sign() > 0;
+    const bool bad = at_lower ? ds[j].sign() < 0 : ds[j].sign() > 0;
     if (bad) {
       out.dual_exact_feasible = false;
       rep.add(Severity::kWarning, codes::kLpExactDual, p.name(static_cast<int>(j)),
@@ -401,22 +401,21 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
   out.exactly_optimal = out.primal_exact_feasible && out.dual_exact_feasible;
 
   // ---- objectives ----------------------------------------------------------
-  Rat pobj;
-  for (std::size_t j = 0; j < n; ++j) {
-    pobj += Rat(p.obj(static_cast<int>(j))) * out.exact_x[j];
-  }
+  Dyadic pobj_s;  // Dx·cᵀx
+  for (std::size_t j = 0; j < n; ++j) pobj_s.add_product(p.obj(static_cast<int>(j)), xs[j]);
+  const Rat pobj = unscaled(pobj_s, Dx);
   out.exact_objective = pobj;
 
   // Strong duality holds identically for a basis solution; a mismatch means
   // the solve above is wrong, never the certificate.
-  Rat dobj;
+  Dyadic dobj_s;  // Dy·(yᵀb + Σ_N d_j·x_j)
   for (std::size_t r = 0; r < m; ++r) {
-    if (!out.exact_y[r].is_zero()) dobj += out.exact_y[r] * Rat(p.row(static_cast<int>(r)).rhs);
+    if (!ys[r].is_zero()) dobj_s.add_product(p.row(static_cast<int>(r)).rhs, ys[r]);
   }
   for (std::size_t j = 0; j < n; ++j) {
-    if (!is_basic[j] && !out.exact_d[j].is_zero()) dobj += out.exact_d[j] * out.exact_x[j];
+    if (!is_basic[j]) dobj_s.add_product(xN[j], ds[j]);
   }
-  if (dobj != pobj) {
+  if (unscaled(dobj_s, Dy) != pobj) {
     rep.add(Severity::kError, codes::kLpExactBasis, "duality",
             "internal: exact primal and dual objectives of the basis disagree");
     return out;
@@ -433,28 +432,30 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
                 ", outside the derived envelope " + rat_str(obj_env));
   }
 
-  Rat ymax;
-  for (std::size_t r = 0; r < m; ++r) ymax = Rat::max(ymax, out.exact_y[r].abs());
-  const Rat y_env = claim_envelope(terms, Rat(1) + ymax);
-  Rat worst_y;
+  Dyadic ymax_s;  // Dy·max_r |y_r|
+  for (std::size_t r = 0; r < m; ++r) {
+    if (ys[r].abs() > ymax_s) ymax_s = ys[r].abs();
+  }
+  const Rat y_env = claim_envelope(terms, Rat(1) + unscaled(ymax_s, Dy));
+  Dyadic worst_y;  // Dy·max_r |claimed y_r − y_r|, first row on ties
   std::size_t worst_yr = m;
   for (std::size_t r = 0; r < m; ++r) {
-    const Rat drift = (Rat(cert.y[r]) - out.exact_y[r]).abs();
+    const Dyadic drift = (times(cert.y[r], Dy) - ys[r]).abs();
     if (drift > worst_y) {
       worst_y = drift;
       worst_yr = r;
     }
   }
-  if (worst_yr != m && worst_y > y_env) {
+  if (worst_yr != m && unscaled(worst_y, Dy) > y_env) {
     rep.add(Severity::kError, codes::kLpExactDualDrift, "row " + std::to_string(worst_yr),
-            "claimed dual drifts " + rat_str(worst_y) + " from the exact basis dual, outside " +
-                "the derived envelope " + rat_str(y_env));
+            "claimed dual drifts " + rat_str(unscaled(worst_y, Dy)) +
+                " from the exact basis dual, outside the derived envelope " + rat_str(y_env));
   }
 
-  Rat worst_x;
+  Dyadic worst_x;  // Dx·max_j |claimed x_j − x_j|, first column on ties
   std::size_t worst_xj = n;
   for (std::size_t j = 0; j < n; ++j) {
-    const Rat drift = (Rat(cert.x[j]) - out.exact_x[j]).abs();
+    const Dyadic drift = (times(cert.x[j], Dx) - xs[j]).abs();
     if (drift > worst_x) {
       worst_x = drift;
       worst_xj = j;
@@ -462,7 +463,7 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
   }
   if (worst_xj != n && !worst_x.is_zero()) {
     rep.add(Severity::kInfo, codes::kLpExactVertex, p.name(static_cast<int>(worst_xj)),
-            "claimed point drifts " + rat_str(worst_x) +
+            "claimed point drifts " + rat_str(unscaled(worst_x, Dx)) +
                 " from the exact basic solution (engine residual; informational)");
   }
 

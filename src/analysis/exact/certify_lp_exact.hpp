@@ -2,12 +2,19 @@
 //
 // Where analysis/certify_lp re-verifies a certificate in floating point with
 // epsilon tolerances, this checker reconstructs the claimed basis and solves
-// the basis system in exact rational arithmetic (fraction-free Bareiss
-// elimination over the dyadic problem data), then proves — with zero
+// the basis system in exact rational arithmetic, then proves — with zero
 // tolerance — primal feasibility of the exact basic solution, dual
 // feasibility of the exact basis duals, complementary slackness and strong
 // duality, both of which hold by construction for a basis solution and are
 // asserted as internal consistency.
+//
+// One sparse rational LU of the basis core A[T,J] (exact/rat_lu.hpp,
+// Markowitz order) gives both the basic point, from A[T,J]·x_J = b′, and the
+// duals, from A[T,J]ᵀ·y_T = c_J. The checks over all m rows and n columns
+// then scale x (and y) by the odd part D of their common denominator, which
+// makes every row activity and reduced cost a sum of dyadic products
+// (analysis::Dyadic): exact with shifts and additions, compared against
+// D·b, with no gcd per term. A failing check rebuilds the Rat it reports.
 //
 // What cannot be zero-tolerance is comparing the engine's *claimed* float
 // numbers (objective, duals) against the exact values: an honest engine
@@ -25,7 +32,8 @@
 // optimum (Neumaier/Shcherbina safe bounding: wrong-signed duals are
 // projected to zero, d = c − Aᵀy is computed exactly, and the bound is
 // yᵀb + Σ_j min(d_j·lo_j, d_j·hi_j)). This is the workhorse of the exact
-// B&B replay — it needs no basis and no division.
+// B&B replay — it needs no basis and no division: every term is a product
+// of doubles, summed as a Dyadic, and one Rat is built at the end.
 #pragma once
 
 #include <string>
@@ -79,9 +87,10 @@ bool exact_safe_dual_bound(const lp::Problem& p, const std::vector<double>& y,
 bool exact_farkas_proves(const lp::Problem& p, const std::vector<double>& ray,
                          std::string* why = nullptr);
 
-/// Solve the square rational system M·x = rhs by fraction-free (Bareiss)
-/// Gaussian elimination with exact integer back-substitution. Returns false
-/// when M is singular. Exposed for tests.
+/// Solve the square rational system M·x = rhs exactly with the sparse
+/// rational LU certify_lp_exact factors its basis core with (RatLu; zero
+/// entries of M are skipped). Returns false when M is singular. Exposed for
+/// tests.
 bool solve_exact_linear_system(std::vector<std::vector<Rat>> M, std::vector<Rat> rhs,
                                std::vector<Rat>* x);
 

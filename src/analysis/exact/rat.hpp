@@ -15,11 +15,19 @@
 //  - Reduction is dyadic-first: every double imports with a power-of-two
 //    denominator, and sums and products of such values keep one, so
 //    normalize() reduces those by a shift of min(ctz(num), ctz(den)) with
-//    no gcd at all. Other denominators take a binary (ctz-based) gcd, which
-//    stops as soon as either odd part is 1.
-//  - Division is Knuth's algorithm D. It exists for two callers: the exact
-//    division steps of fraction-free (Bareiss) elimination, and decimal
-//    printing. Rat itself never divides limbs except through gcd reduction.
+//    no gcd at all. Other denominators take a binary (ctz-based) gcd that
+//    works in place on its two operands' limbs (no allocation per
+//    subtract-and-shift step), finishes in a single machine word once both
+//    odd parts fit one, and stops as soon as either odd part is 1.
+//  - analysis::Dyadic is m · 2^e with an integer m: the value a sum of
+//    products of doubles really is. Adding two aligns exponents by a shift,
+//    so a proof that only sums such products (a safe dual bound, a Farkas
+//    check, a row activity scaled by a common denominator) needs no
+//    denominator and no gcd; it builds one Rat at the end, if any.
+//  - Division is Knuth's algorithm D. Its callers: normalize(), dividing
+//    num and den by their gcd; certify_lp_exact's scaling by a common
+//    denominator; to_double(); and verify_deployment's directed rounding of
+//    exact quotients. The sparse LU divides only through Rat.
 #include <algorithm>
 #include <cstdint>
 #include <cmath>
@@ -96,14 +104,7 @@ class BigInt {
   }
 
   // ---- comparison -----------------------------------------------------------
-  static int cmp_mag(const BigInt& a, const BigInt& b) {
-    if (a.limbs_.size() != b.limbs_.size())
-      return a.limbs_.size() < b.limbs_.size() ? -1 : 1;
-    for (std::size_t i = a.limbs_.size(); i-- > 0;) {
-      if (a.limbs_[i] != b.limbs_[i]) return a.limbs_[i] < b.limbs_[i] ? -1 : 1;
-    }
-    return 0;
-  }
+  static int cmp_mag(const BigInt& a, const BigInt& b) { return cmp_limbs(a.limbs_, b.limbs_); }
   static int cmp(const BigInt& a, const BigInt& b) {
     if (a.sign() != b.sign()) return a.sign() < b.sign() ? -1 : 1;
     int m = cmp_mag(a, b);
@@ -138,8 +139,61 @@ class BigInt {
     return r;
   }
   friend BigInt operator-(const BigInt& a, const BigInt& b) { return a + (-b); }
-  BigInt& operator+=(const BigInt& o) { return *this = *this + o; }
-  BigInt& operator-=(const BigInt& o) { return *this = *this - o; }
+  BigInt& operator+=(const BigInt& o) {
+    add_shl(o, 0, false);
+    return *this;
+  }
+  BigInt& operator-=(const BigInt& o) {
+    add_shl(o, 0, true);
+    return *this;
+  }
+
+  // *this += o · 2^bits (or -= when `subtract`), in place: the sum reuses
+  // this value's limbs, so only a shifted copy of o is ever allocated.
+  void add_shl(const BigInt& o, std::size_t bits, bool subtract) {
+    if (o.is_zero()) return;
+    const bool oneg = o.neg_ != subtract;
+    if (bits == 0 && &o != this) {
+      add_signed_mag(o.limbs_, oneg);
+      return;
+    }
+    add_signed_mag(o.shl(bits).limbs_, oneg);
+  }
+
+  // *this += a · k · 2^bits (or -= when `subtract`) for a word k. The
+  // shifted product is built in one allocation and added in place.
+  void add_mul_shl(const BigInt& a, std::uint64_t k, std::size_t bits, bool subtract) {
+    if (a.is_zero() || k == 0) return;
+    const std::size_t ls = bits / 64, bs = bits % 64;
+    std::vector<std::uint64_t> t(ls + a.limbs_.size() + 2, 0);
+    std::uint64_t carry = 0;
+    for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
+      const u128 p = static_cast<u128>(a.limbs_[i]) * k + carry;
+      t[ls + i] = static_cast<std::uint64_t>(p);
+      carry = static_cast<std::uint64_t>(p >> 64);
+    }
+    t[ls + a.limbs_.size()] = carry;
+    if (bs != 0) {
+      for (std::size_t i = t.size() - 1; i > ls; --i) t[i] = (t[i] << bs) | (t[i - 1] >> (64 - bs));
+      t[ls] <<= bs;
+    }
+    while (t.back() == 0) t.pop_back();
+    add_signed_mag(std::move(t), a.neg_ != subtract);
+  }
+
+  // *this <<= bits, in place (storage grows only when capacity runs out).
+  void shl_in_place(std::size_t bits) {
+    if (limbs_.empty() || bits == 0) return;
+    const std::size_t ls = bits / 64, bs = bits % 64, old = limbs_.size();
+    limbs_.resize(old + ls + 1, 0);
+    for (std::size_t i = limbs_.size(); i-- > 0;) {
+      // Sources sit at or below i, so each is read before it is overwritten.
+      const std::uint64_t hi = i >= ls && i - ls < old ? limbs_[i - ls] : 0;
+      const std::uint64_t lo = bs != 0 && i > ls && i - ls - 1 < old ? limbs_[i - ls - 1] : 0;
+      limbs_[i] = bs == 0 ? hi : (hi << bs) | (lo >> (64 - bs));
+    }
+    trim();
+  }
 
   // ---- mul ------------------------------------------------------------------
   friend BigInt operator*(const BigInt& a, const BigInt& b) {
@@ -235,7 +289,7 @@ class BigInt {
     q.neg_ = !q.limbs_.empty() && (a.neg_ != b.neg_);
     r.neg_ = !r.limbs_.empty() && a.neg_;
   }
-  // Exact division: caller guarantees b | a (the Bareiss invariant).
+  // Exact division: caller guarantees b | a (a gcd, or a known divisor).
   static BigInt div_exact(const BigInt& a, const BigInt& b) {
     BigInt q, r;
     divmod(a, b, q, r);
@@ -254,22 +308,27 @@ class BigInt {
   }
 
   // ---- gcd ------------------------------------------------------------------
+  // Binary gcd. The two by-value operands are the only storage: every
+  // subtract-and-shift step rewrites a's limbs in place.
   static BigInt gcd(BigInt a, BigInt b) {
     a.neg_ = b.neg_ = false;
     if (a.is_zero()) return b;
     if (b.is_zero()) return a;
-    std::size_t az = a.ctz(), bz = b.ctz();
-    std::size_t shift = std::min(az, bz);
-    a = a.shr(az);
-    b = b.shr(bz);
+    const std::size_t az = a.ctz(), bz = b.ctz();
+    const std::size_t shift = std::min(az, bz);
+    a.shr_in_place(az);
+    b.shr_in_place(bz);
     while (true) {
       // An odd part of 1 leaves no odd factor in common.
       if (a.is_unit() || b.is_unit()) return BigInt(1).shl(shift);
-      int m = cmp_mag(a, b);
+      if (a.limbs_.size() == 1 && b.limbs_.size() == 1) {
+        return from_u64(gcd_odd_u64(a.limbs_[0], b.limbs_[0])).shl(shift);
+      }
+      const int m = cmp_mag(a, b);
       if (m == 0) break;
       if (m < 0) std::swap(a, b);
-      a = a - b;
-      a = a.shr(a.ctz());
+      sub_mag_in_place(a.limbs_, b.limbs_);
+      a.shr_in_place(a.ctz());
     }
     return a.shl(shift);
   }
@@ -305,6 +364,100 @@ class BigInt {
   void trim() {
     while (!limbs_.empty() && limbs_.back() == 0) limbs_.pop_back();
     if (limbs_.empty()) neg_ = false;
+  }
+
+  // |*this| >>= bits, in place (the sign is kept unless the value vanishes).
+  void shr_in_place(std::size_t bits) {
+    const std::size_t limb_shift = bits / 64, bit_shift = bits % 64;
+    if (limb_shift >= limbs_.size()) {
+      limbs_.clear();
+      neg_ = false;
+      return;
+    }
+    const std::size_t n = limbs_.size() - limb_shift;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t v = limbs_[i + limb_shift];
+      if (bit_shift != 0) {
+        v >>= bit_shift;
+        if (i + limb_shift + 1 < limbs_.size()) v |= limbs_[i + limb_shift + 1] << (64 - bit_shift);
+      }
+      limbs_[i] = v;
+    }
+    limbs_.resize(n);
+    trim();
+  }
+
+  // a -= b on magnitudes, in place. Requires |a| >= |b|.
+  static void sub_mag_in_place(std::vector<std::uint64_t>& a,
+                               const std::vector<std::uint64_t>& b) {
+    std::uint64_t borrow = 0;
+    for (std::size_t i = 0; i < a.size() && (i < b.size() || borrow != 0); ++i) {
+      const std::uint64_t bi = i < b.size() ? b[i] : 0;
+      const u128 t = static_cast<u128>(a[i]) - static_cast<u128>(bi) - borrow;
+      a[i] = static_cast<std::uint64_t>(t);
+      borrow = (t >> 64) != 0 ? 1 : 0;
+    }
+    while (!a.empty() && a.back() == 0) a.pop_back();
+  }
+
+  // Compares two trimmed magnitudes.
+  static int cmp_limbs(const std::vector<std::uint64_t>& a, const std::vector<std::uint64_t>& b) {
+    if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
+    for (std::size_t i = a.size(); i-- > 0;) {
+      if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+    }
+    return 0;
+  }
+
+  // *this += (tneg ? -t : t) for a trimmed magnitude t that does not alias
+  // limbs_.
+  void add_signed_mag(const std::vector<std::uint64_t>& t, bool tneg) {
+    if (limbs_.empty()) {
+      limbs_ = t;
+      neg_ = tneg;
+      return;
+    }
+    if (neg_ == tneg) {
+      if (limbs_.size() < t.size()) limbs_.resize(t.size(), 0);
+      std::uint64_t carry = 0;
+      for (std::size_t i = 0; i < limbs_.size() && (i < t.size() || carry != 0); ++i) {
+        const u128 s = static_cast<u128>(limbs_[i]) + (i < t.size() ? t[i] : 0) + carry;
+        limbs_[i] = static_cast<std::uint64_t>(s);
+        carry = static_cast<std::uint64_t>(s >> 64);
+      }
+      if (carry != 0) limbs_.push_back(carry);
+      return;
+    }
+    if (cmp_limbs(limbs_, t) >= 0) {
+      sub_mag_in_place(limbs_, t);  // |this| >= |t|: the sign stays
+      if (limbs_.empty()) neg_ = false;
+      return;
+    }
+    std::vector<std::uint64_t> r = t;
+    sub_mag_in_place(r, limbs_);
+    limbs_.swap(r);
+    neg_ = tneg;
+  }
+  // The same for a magnitude the caller hands over: when the result is
+  // t − |this|, it is computed in t's storage.
+  void add_signed_mag(std::vector<std::uint64_t>&& t, bool tneg) {
+    if (limbs_.empty() || (neg_ != tneg && cmp_limbs(limbs_, t) < 0)) {
+      sub_mag_in_place(t, limbs_);
+      limbs_.swap(t);
+      neg_ = tneg;
+      return;
+    }
+    add_signed_mag(static_cast<const std::vector<std::uint64_t>&>(t), tneg);
+  }
+
+  // gcd of two odd machine words.
+  static std::uint64_t gcd_odd_u64(std::uint64_t a, std::uint64_t b) {
+    while (a != b) {
+      if (a < b) std::swap(a, b);
+      a -= b;
+      a >>= __builtin_ctzll(a);
+    }
+    return a;
   }
 
   static std::vector<std::uint64_t> add_mag(const std::vector<std::uint64_t>& a,
@@ -554,6 +707,90 @@ class Rat {
 
   BigInt num_;
   BigInt den_;
+};
+
+// An exact dyadic rational m · 2^e with an integer m, kept unreduced. Every
+// double is one, and so is every sum and product of doubles: a product
+// multiplies mantissas and adds exponents, and a sum shifts the operand with
+// the larger exponent down to the smaller one before adding. No denominator,
+// no gcd; to_rat() reduces once, by a shift.
+class Dyadic {
+ public:
+  Dyadic() = default;
+  explicit Dyadic(BigInt m, std::int64_t e = 0) : m_(std::move(m)), e_(e) {}
+  // Exact, as Rat(double) is; a non-finite value throws.
+  explicit Dyadic(double v) {                                            // rat-io
+    if (!std::isfinite(v)) throw std::domain_error("Dyadic: non-finite double");  // rat-io
+    if (v == 0.0) return;  // fp-exact rat-io
+    int e = 0;
+    const double frac = std::frexp(v, &e);                               // rat-io
+    m_ = BigInt(static_cast<std::int64_t>(std::ldexp(frac, 53)));        // rat-io
+    e_ = static_cast<std::int64_t>(e) - 53;
+  }
+
+  bool is_zero() const { return m_.is_zero(); }
+  int sign() const { return m_.sign(); }
+  Dyadic abs() const { return Dyadic(m_.abs(), e_); }
+  Dyadic operator-() const { return Dyadic(-m_, e_); }
+
+  Dyadic& operator+=(const Dyadic& o) { return add(o, false); }
+  Dyadic& operator-=(const Dyadic& o) { return add(o, true); }
+
+  // *this += a · b (or -= when `subtract`) for a double a: the same value as
+  // *this += Dyadic(a) * b, with one allocation for the product instead of
+  // three. A non-finite a throws, as Dyadic(a) does.
+  Dyadic& add_product(double a, const Dyadic& b, bool subtract = false) {              // rat-io
+    if (!std::isfinite(a)) throw std::domain_error("Dyadic: non-finite double");  // rat-io
+    if (a == 0.0 || b.is_zero()) return *this;  // fp-exact rat-io
+    if (&b == this) return add_product(a, Dyadic(b), subtract);  // rat-io
+    int ea = 0;
+    const auto ma = static_cast<std::int64_t>(std::ldexp(std::frexp(a, &ea), 53));  // rat-io
+    const std::int64_t e = b.e_ + ea - 53;
+    const bool sub = subtract != (ma < 0);
+    const auto k = static_cast<std::uint64_t>(ma < 0 ? -ma : ma);  // |ma| < 2^53
+    if (m_.is_zero()) e_ = e;
+    if (e < e_) {
+      m_.shl_in_place(static_cast<std::size_t>(e_ - e));
+      e_ = e;
+    }
+    m_.add_mul_shl(b.m_, k, static_cast<std::size_t>(e - e_), sub);
+    return *this;
+  }
+  friend Dyadic operator+(Dyadic a, const Dyadic& b) { return a += b; }
+  friend Dyadic operator-(Dyadic a, const Dyadic& b) { return a -= b; }
+  friend Dyadic operator*(const Dyadic& a, const Dyadic& b) {
+    return Dyadic(a.m_ * b.m_, a.e_ + b.e_);
+  }
+
+  static int cmp(const Dyadic& a, const Dyadic& b) { return (a - b).sign(); }
+  friend bool operator<(const Dyadic& a, const Dyadic& b) { return cmp(a, b) < 0; }
+  friend bool operator>(const Dyadic& a, const Dyadic& b) { return cmp(a, b) > 0; }
+  friend bool operator>=(const Dyadic& a, const Dyadic& b) { return cmp(a, b) >= 0; }
+
+  // The same value as a reduced Rat.
+  Rat to_rat() const {
+    if (e_ >= 0) return Rat(m_.shl(static_cast<std::size_t>(e_)), BigInt(1));
+    return Rat(m_, BigInt(1).shl(static_cast<std::size_t>(-e_)));
+  }
+
+ private:
+  Dyadic& add(const Dyadic& o, bool subtract) {
+    if (o.m_.is_zero()) return *this;
+    if (m_.is_zero()) {
+      m_ = subtract ? -o.m_ : o.m_;
+      e_ = o.e_;
+    } else if (o.e_ >= e_) {
+      m_.add_shl(o.m_, static_cast<std::size_t>(o.e_ - e_), subtract);
+    } else {
+      m_.shl_in_place(static_cast<std::size_t>(e_ - o.e_));
+      e_ = o.e_;
+      m_.add_shl(o.m_, 0, subtract);
+    }
+    return *this;
+  }
+
+  BigInt m_;
+  std::int64_t e_ = 0;  // value = m_ · 2^e_
 };
 
 }  // namespace nd::analysis

@@ -33,9 +33,9 @@ struct Iv {
   BigInt lo, hi;
 };
 
-class Dyadic {
+class DyadicIv {
  public:
-  explicit Dyadic(std::size_t prec) : prec_(prec) {}
+  explicit DyadicIv(std::size_t prec) : prec_(prec) {}
 
   [[nodiscard]] std::size_t prec() const { return prec_; }
 
@@ -432,16 +432,16 @@ VerifyDeploymentOutcome verify_deployment(const deploy::DeploymentProblem& p,
     int decided = 0;
     int single_decided = 0;  // single-copy comparison, for the trigger checks
     for (std::size_t prec = 128; prec <= 2048 && decided == 0; prec *= 2) {
-      const Dyadic dy(prec);
+      const DyadicIv dy(prec);
       const auto [ga, ca] = exponent_of(i);
-      const Iv ra = dy.exp(Dyadic::neg(dy.mul(dy.from_rat(ca), dy.pow10(ga))));
+      const Iv ra = dy.exp(DyadicIv::neg(dy.mul(dy.from_rat(ca), dy.pow10(ga))));
       if (single_decided == 0) single_decided = dy.cmp_rat(ra, r_th);
       Iv reff = ra;
       if (has_dup) {
         const auto [gb, cb] = exponent_of(dup_i);
-        const Iv rb = dy.exp(Dyadic::neg(dy.mul(dy.from_rat(cb), dy.pow10(gb))));
+        const Iv rb = dy.exp(DyadicIv::neg(dy.mul(dy.from_rat(cb), dy.pow10(gb))));
         const Iv one = dy.from_int(1);
-        reff = Dyadic::sub(one, dy.mul(Dyadic::sub(one, ra), Dyadic::sub(one, rb)));
+        reff = DyadicIv::sub(one, dy.mul(DyadicIv::sub(one, ra), DyadicIv::sub(one, rb)));
       }
       decided = dy.cmp_rat(reff, r_th);
     }

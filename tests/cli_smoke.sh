@@ -49,6 +49,25 @@ if "$CLI" certify --problem "$DIR/small.json" --solution "$DIR/milp_sol.json" \
   exit 1
 fi
 
+# An inverted branch interval ([1, 1] becomes [1, 0]) is a structure error
+# for the exact replay too: exit 1 with bnb-structure, not an exception.
+awk '/"nodes": \[/ { in_nodes = 1 }
+     in_nodes && !done && /"lo": 1,/ { lo_line = NR }
+     in_nodes && !done && /"hi": 1,/ && lo_line == NR - 1 { sub(/"hi": 1,/, "\"hi\": 0,"); done = 1 }
+     { print }' "$DIR/audit.json" > "$DIR/audit_inverted.json"
+if cmp -s "$DIR/audit.json" "$DIR/audit_inverted.json"; then
+  echo "expected the audit to hold a [1, 1] branch interval to invert" >&2
+  exit 1
+fi
+set +e
+"$CLI" certify --problem "$DIR/small.json" --solution "$DIR/milp_sol.json" \
+  --certificate "$DIR/cert.json" --audit "$DIR/audit_inverted.json" --exact \
+  > "$DIR/inverted.txt" 2>&1
+rc=$?
+set -e
+test "$rc" = "1"
+grep -q "bnb-structure" "$DIR/inverted.txt"
+
 # Lint: static instance analysis; --presolve-report prints the proof-carrying
 # reduction summary (canonical hash + per-pass tallies) without solving.
 "$CLI" lint --problem "$DIR/prob.json" --presolve-report > "$DIR/lint.txt"

@@ -25,6 +25,7 @@
 #include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
 #include "analysis/exact/rat.hpp"
+#include "analysis/exact/rat_lu.hpp"
 #include "analysis/exact/verify_deployment.hpp"
 #include "analysis/presolve/instance_presolve.hpp"
 #include "bench_common.hpp"
@@ -209,6 +210,118 @@ TEST(ExactRat, DyadicFastPathsMatchReferenceReduction) {
   }
 }
 
+TEST(ExactRat, InPlaceGcdMatchesReferenceReduction) {
+  nd::Prng g(4049);
+  const BigInt one(1);
+  std::vector<std::pair<BigInt, BigInt>> cases;
+  for (int i = 0; i < 12; ++i) {
+    // Equal operands, and an operand of 1.
+    const BigInt v = random_bigint(g, static_cast<std::size_t>(g.uniform_int(0, 140)));
+    cases.emplace_back(v, v);
+    cases.emplace_back(v, -v);
+    cases.emplace_back(v, one);
+    cases.emplace_back(-one, v);
+    // Coprime multi-limb values.
+    const BigInt w = random_bigint(g, 0).abs();
+    cases.emplace_back(w, w + one);
+    cases.emplace_back(w * w, w * w - one);
+  }
+  for (const std::size_t k : {63, 64, 65, 127, 128, 191}) {
+    cases.emplace_back(one.shl(k) - one, one.shl(k) + one);  // coprime odd neighbours
+    // Shared 2^k factors: the opening shift crosses limb boundaries.
+    const BigInt c = random_bigint(g, 0);
+    cases.emplace_back(c.shl(k) * random_bigint(g, 0), c.shl(k + 3) * random_bigint(g, 5));
+    // A difference with k trailing zeros: a later subtract-and-shift step
+    // crosses a limb boundary.
+    const BigInt x = random_bigint(g, 0).abs();
+    cases.emplace_back(x + random_bigint(g, k).abs(), x);
+  }
+  for (int i = 0; i < 30; ++i) {
+    // A large common factor, odd and even parts mixed.
+    const BigInt c = random_bigint(g, static_cast<std::size_t>(g.uniform_int(0, 70)));
+    cases.emplace_back(c * random_bigint(g, static_cast<std::size_t>(g.uniform_int(0, 130))),
+                       c * random_bigint(g, static_cast<std::size_t>(g.uniform_int(0, 130))));
+  }
+  for (const auto& [a, b] : cases) {
+    ASSERT_EQ(BigInt::gcd(a, b), reference_gcd(a, b)) << a.to_string() << ", " << b.to_string();
+    const Rat r(a, b);
+    const auto [rn, rd] = reference_reduce(a, b);
+    ASSERT_EQ(r.num(), rn) << a.to_string() << " / " << b.to_string();
+    ASSERT_EQ(r.den(), rd) << a.to_string() << " / " << b.to_string();
+  }
+}
+
+/// A double drawn from a pool that covers zero, units, ordinary values,
+/// subnormals, and magnitudes near 1e±300.
+double pool_double(nd::Prng& g) {
+  const double sign = g.bernoulli(0.5) ? 1.0 : -1.0;
+  switch (g.uniform_int(0, 9)) {
+    case 0: return 0.0;
+    case 1: return sign;
+    case 2: return g.uniform(-100.0, 100.0);
+    case 3: return std::ldexp(g.uniform(-1.0, 1.0), -60);
+    case 4: return sign * std::numeric_limits<double>::denorm_min() *
+                   static_cast<double>(g.uniform_int(1, 1000));
+    case 5: return 1e300 * g.uniform(-1.7, 1.7);
+    case 6: return 1e-300 * g.uniform(-1.0, 1.0);
+    case 7: return static_cast<double>(g.uniform_int(-5, 5));
+    case 8: return std::ldexp(sign * g.uniform(0.5, 1.0), static_cast<int>(g.uniform_int(-1070, 1020)));
+    default: return g.uniform(-1.0, 1.0);
+  }
+}
+
+TEST(ExactRat, DyadicArithmeticMatchesRat) {
+  using nd::analysis::Dyadic;
+  nd::Prng g(808);
+  for (int i = 0; i < 3000; ++i) {
+    const double a = pool_double(g), b = pool_double(g), c = pool_double(g);
+    const Dyadic da(a), db(b), dc(c);
+    const Rat ra(a), rb(b), rc(c);
+    ASSERT_EQ(da.to_rat(), ra) << a;
+    ASSERT_EQ((da + db).to_rat(), ra + rb) << a << " + " << b;
+    ASSERT_EQ((da - db).to_rat(), ra - rb) << a << " - " << b;
+    const Rat fma = ra * rb + rc;
+    const Rat got = (da * db + dc).to_rat();
+    ASSERT_EQ(got, fma) << a << " * " << b << " + " << c;
+    const auto [rn, rd] = reference_reduce(got.num(), got.den());  // reduced
+    ASSERT_EQ(got.num(), rn);
+    ASSERT_EQ(got.den(), rd);
+    ASSERT_EQ(Dyadic::cmp(da * db, dc), Rat::cmp(ra * rb, rc)) << a << " * " << b << " vs " << c;
+    ASSERT_EQ((da * db - dc).abs().to_rat(), (ra * rb - rc).abs());
+    // The fused product-accumulate, into zero, into a value, and into itself.
+    Dyadic acc = dc;
+    acc.add_product(a, db);
+    ASSERT_EQ(acc.to_rat(), fma) << a << " * " << b << " + " << c;
+    acc.add_product(a, db, true);
+    ASSERT_EQ(acc.to_rat(), rc);
+    ASSERT_EQ(Dyadic().add_product(a, db, true).to_rat(), -(ra * rb));
+    Dyadic self = db;
+    self.add_product(a, self);
+    ASSERT_EQ(self.to_rat(), rb + ra * rb);
+  }
+  // In-place shifted add/subtract against the allocating operators.
+  for (int i = 0; i < 500; ++i) {
+    const BigInt a = g.bernoulli(0.1) ? BigInt() : random_bigint(g, 0);
+    const BigInt b = random_bigint(g, static_cast<std::size_t>(g.uniform_int(0, 3)));
+    const auto k = static_cast<std::size_t>(g.uniform_int(0, 140));
+    const bool subtract = g.bernoulli(0.5);
+    BigInt got = a;
+    got.add_shl(b, k, subtract);
+    ASSERT_EQ(got, subtract ? a - b.shl(k) : a + b.shl(k));
+    BigInt self = b;
+    self.add_shl(self, 0, subtract);
+    ASSERT_EQ(self, subtract ? BigInt() : b + b);
+    const std::uint64_t word = g() >> g.uniform_int(0, 63);
+    BigInt prod = a;
+    prod.add_mul_shl(b, word, k, subtract);
+    const BigInt term = b * BigInt::from_u64(word).shl(k);
+    ASSERT_EQ(prod, subtract ? a - term : a + term);
+    BigInt shifted = a;
+    shifted.shl_in_place(k);
+    ASSERT_EQ(shifted, a.shl(k));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fraction-free linear solver
 
@@ -243,6 +356,171 @@ TEST(ExactLinearSystem, ReportsSingularMatrix) {
   std::vector<Rat> rhs = {Rat(1), Rat(2)};
   std::vector<Rat> x;
   EXPECT_FALSE(nd::analysis::solve_exact_linear_system(M, rhs, &x));
+}
+
+/// Dense fraction-free (Bareiss) elimination with integer back-substitution:
+/// the solver the sparse LU replaced, kept as a reference for it only.
+bool bareiss_solve(const std::vector<std::vector<Rat>>& M, const std::vector<Rat>& rhs,
+                   std::vector<Rat>* x) {
+  const std::size_t k = M.size();
+  x->assign(k, Rat());
+  if (k == 0) return true;
+  std::vector<std::vector<BigInt>> aug(k, std::vector<BigInt>(k + 1));
+  for (std::size_t i = 0; i < k; ++i) {
+    BigInt lcm(1);
+    auto fold = [&lcm](const Rat& e) {
+      const BigInt& d = e.den();
+      lcm = BigInt::div_exact(lcm, BigInt::gcd(lcm, d)) * d;
+    };
+    for (const Rat& e : M[i]) fold(e);
+    fold(rhs[i]);
+    for (std::size_t j = 0; j < k; ++j) {
+      aug[i][j] = M[i][j].num() * BigInt::div_exact(lcm, M[i][j].den());
+    }
+    aug[i][k] = rhs[i].num() * BigInt::div_exact(lcm, rhs[i].den());
+  }
+  BigInt prev(1);
+  for (std::size_t t = 0; t < k; ++t) {
+    std::size_t piv = t;
+    while (piv < k && aug[piv][t].is_zero()) ++piv;
+    if (piv == k) return false;
+    if (piv != t) std::swap(aug[piv], aug[t]);
+    for (std::size_t i = t + 1; i < k; ++i) {
+      for (std::size_t j = t + 1; j <= k; ++j) {
+        aug[i][j] =
+            BigInt::div_exact(aug[t][t] * aug[i][j] - aug[i][t] * aug[t][j], prev);
+      }
+      aug[i][t] = BigInt();
+    }
+    prev = aug[t][t];
+  }
+  const BigInt d = aug[k - 1][k - 1];
+  std::vector<BigInt> pvec(k);
+  for (std::size_t i = k; i-- > 0;) {
+    BigInt s = d * aug[i][k];
+    for (std::size_t j = i + 1; j < k; ++j) s -= aug[i][j] * pvec[j];
+    pvec[i] = BigInt::div_exact(s, aug[i][i]);
+    (*x)[i] = Rat(pvec[i], d);
+  }
+  return true;
+}
+
+using Matrix = std::vector<std::vector<Rat>>;
+
+/// A nonzero entry: dyadic (±1, small integers, doubles, powers of two) or
+/// a fraction with an odd denominator.
+Rat random_entry(nd::Prng& g, bool dyadic) {
+  if (!dyadic && g.bernoulli(0.7)) {
+    std::int64_t num = g.uniform_int(-20, 20);
+    if (num == 0) num = 7;
+    return Rat(num, 2 * g.uniform_int(1, 15) + 1);
+  }
+  switch (g.uniform_int(0, 3)) {
+    case 0: return Rat(g.bernoulli(0.5) ? 1 : -1);
+    case 1: return Rat(g.uniform_int(2, 9) * (g.bernoulli(0.5) ? 1 : -1));
+    case 2: return Rat(g.uniform(0.25, 10.0) * (g.bernoulli(0.5) ? 1.0 : -1.0));
+    default: return Rat(std::ldexp(1.0, static_cast<int>(g.uniform_int(-30, 30))));
+  }
+}
+
+/// Deployment-shaped: a signed permutation (±1 singletons) whose columns are
+/// partly replaced by denser ones with 2–8 entries.
+Matrix deployment_shaped(nd::Prng& g, std::size_t k, bool dyadic) {
+  Matrix M(k, std::vector<Rat>(k));
+  std::vector<std::size_t> perm(k);
+  for (std::size_t i = 0; i < k; ++i) perm[i] = i;
+  g.shuffle(perm);
+  for (std::size_t j = 0; j < k; ++j) M[perm[j]][j] = Rat(g.bernoulli(0.5) ? 1 : -1);
+  const auto dense_cols = static_cast<std::size_t>(g.uniform_int(0, static_cast<std::int64_t>(k / 5 + 1)));
+  for (std::size_t c = 0; c < dense_cols; ++c) {
+    const auto j = static_cast<std::size_t>(g.uniform_int(0, static_cast<std::int64_t>(k) - 1));
+    const auto extra = g.uniform_int(1, 7);  // rows may repeat
+    for (std::int64_t e = 0; e < extra; ++e) {
+      const auto i = static_cast<std::size_t>(g.uniform_int(0, static_cast<std::int64_t>(k) - 1));
+      M[i][j] = random_entry(g, dyadic);
+    }
+  }
+  return M;
+}
+
+Matrix dense_matrix(nd::Prng& g, std::size_t k, bool dyadic) {
+  Matrix M(k, std::vector<Rat>(k));
+  for (auto& row : M) {
+    for (Rat& e : row) e = random_entry(g, dyadic);
+  }
+  return M;
+}
+
+/// Makes M exactly singular: a zero column, a repeated column, or a row that
+/// is a combination of two others.
+void make_singular(nd::Prng& g, Matrix* M) {
+  const std::size_t k = M->size();
+  const auto pick = [&] { return static_cast<std::size_t>(g.uniform_int(0, static_cast<std::int64_t>(k) - 1)); };
+  const std::size_t a = pick(), b = pick(), t = pick();
+  switch (k < 3 ? 0 : g.uniform_int(0, 2)) {
+    case 0:
+      for (auto& row : *M) row[t] = Rat();
+      break;
+    case 1:
+      if (a == t) return make_singular(g, M);
+      for (auto& row : *M) row[t] = row[a];
+      break;
+    default: {
+      if (a == b || a == t || b == t) return make_singular(g, M);
+      const Rat s = random_entry(g, false);
+      for (std::size_t j = 0; j < k; ++j) (*M)[t][j] = (*M)[a][j] + s * (*M)[b][j];
+    }
+  }
+}
+
+std::vector<nd::analysis::RatLu::Entry> nonzeros(const Matrix& M) {
+  std::vector<nd::analysis::RatLu::Entry> out;
+  for (std::size_t i = 0; i < M.size(); ++i) {
+    for (std::size_t j = 0; j < M.size(); ++j) {
+      if (!M[i][j].is_zero()) out.push_back({i, j, M[i][j]});
+    }
+  }
+  return out;
+}
+
+TEST(ExactLinearSystem, SparseLuMatchesBareissReference) {
+  nd::Prng g(1957);
+  int solved = 0, singular = 0;
+  for (int trial = 0; trial < 160; ++trial) {
+    const bool dyadic = g.bernoulli(0.5);
+    const int shape = trial % 4;  // deployment-shaped, dense, singular variants of each
+    const std::size_t k = shape % 2 == 0 ? static_cast<std::size_t>(g.uniform_int(1, 80))
+                                         : static_cast<std::size_t>(g.uniform_int(1, 10));
+    Matrix M = shape % 2 == 0 ? deployment_shaped(g, k, dyadic) : dense_matrix(g, k, dyadic);
+    if (shape >= 2) make_singular(g, &M);
+    std::vector<Rat> b(k), c(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (g.bernoulli(0.8)) b[i] = random_entry(g, dyadic);
+      if (g.bernoulli(0.8)) c[i] = random_entry(g, dyadic);
+    }
+    const std::string what = "trial " + std::to_string(trial) + ", k " + std::to_string(k);
+    Matrix Mt(k, std::vector<Rat>(k));
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) Mt[j][i] = M[i][j];
+    }
+
+    std::vector<Rat> x_ref, x, y_ref;
+    const bool ok_ref = bareiss_solve(M, b, &x_ref);
+    ASSERT_EQ(nd::analysis::solve_exact_linear_system(M, b, &x), ok_ref) << what;
+    ASSERT_EQ(bareiss_solve(Mt, c, &y_ref), ok_ref) << what;
+    nd::analysis::RatLu lu;
+    ASSERT_EQ(lu.factorize(k, nonzeros(M)), ok_ref) << what;
+    if (!ok_ref) {
+      ++singular;
+      continue;
+    }
+    ++solved;
+    EXPECT_EQ(x, x_ref) << what;
+    EXPECT_EQ(lu.solve(b), x_ref) << what;
+    EXPECT_EQ(lu.solve_transposed(c), y_ref) << what;
+  }
+  EXPECT_GE(solved, 50);
+  EXPECT_GE(singular, 50);
 }
 
 // ---------------------------------------------------------------------------
@@ -361,6 +639,195 @@ TEST(ExactLp, SafeDualBoundSurvivesWrongSignedDuals) {
   EXPECT_LE(bound, Rat(1));
 }
 
+// The safe bound and the Farkas check as they were before they summed
+// dyadics: every term a reduced Rat. References for the dyadic versions.
+std::string reference_rat_str(const Rat& v) {
+  std::string s = v.to_string();
+  if (s.size() > 40) s = s.substr(0, 37) + "...";
+  return s + " (~" + std::to_string(v.to_double()) + ")";
+}
+
+bool reference_safe_dual_bound(const nd::lp::Problem& p, const std::vector<double>& y,
+                               Rat* bound) {
+  const std::size_t n = static_cast<std::size_t>(p.num_vars());
+  const std::size_t m = static_cast<std::size_t>(p.num_rows());
+  if (y.size() != m) return false;
+  std::vector<Rat> ys(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    if (!std::isfinite(y[r])) return false;
+    Rat yr{y[r]};
+    const Sense s = p.row(static_cast<int>(r)).sense;
+    if ((s == Sense::LE && yr.sign() > 0) || (s == Sense::GE && yr.sign() < 0)) yr = Rat(0);
+    ys[r] = std::move(yr);
+  }
+  std::vector<Rat> d(n);
+  for (std::size_t j = 0; j < n; ++j) d[j] = Rat(p.obj(static_cast<int>(j)));
+  for (std::size_t r = 0; r < m; ++r) {
+    if (ys[r].is_zero()) continue;
+    for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
+      d[static_cast<std::size_t>(j)] -= Rat(v) * ys[r];
+    }
+  }
+  Rat b;
+  for (std::size_t r = 0; r < m; ++r) {
+    if (!ys[r].is_zero()) b += ys[r] * Rat(p.row(static_cast<int>(r)).rhs);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const int sgn = d[j].sign();
+    if (sgn == 0) continue;
+    const double bnd = sgn > 0 ? p.lo(static_cast<int>(j)) : p.hi(static_cast<int>(j));
+    if (!std::isfinite(bnd)) return false;
+    b += d[j] * Rat(bnd);
+  }
+  *bound = std::move(b);
+  return true;
+}
+
+bool reference_farkas_proves(const nd::lp::Problem& p, const std::vector<double>& ray,
+                             std::string* why) {
+  const std::size_t n = static_cast<std::size_t>(p.num_vars());
+  const std::size_t m = static_cast<std::size_t>(p.num_rows());
+  auto fail = [why](std::string msg) {
+    *why = std::move(msg);
+    return false;
+  };
+  if (ray.size() != m) return fail("ray length != row count");
+  std::vector<Rat> yr(m);
+  Rat ytb;
+  for (std::size_t r = 0; r < m; ++r) {
+    if (!std::isfinite(ray[r])) return fail("non-finite ray component");
+    yr[r] = Rat(ray[r]);
+    const Sense s = p.row(static_cast<int>(r)).sense;
+    if ((s == Sense::LE && yr[r].sign() > 0) || (s == Sense::GE && yr[r].sign() < 0)) {
+      yr[r] = Rat();
+      continue;
+    }
+    ytb += yr[r] * Rat(p.row(static_cast<int>(r)).rhs);
+  }
+  std::vector<Rat> w(n);
+  for (std::size_t r = 0; r < m; ++r) {
+    if (yr[r].is_zero()) continue;
+    for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
+      w[static_cast<std::size_t>(j)] += Rat(v) * yr[r];
+    }
+  }
+  Rat boxsup;
+  for (std::size_t j = 0; j < n; ++j) {
+    const int sgn = w[j].sign();
+    if (sgn == 0) continue;
+    const double bnd = sgn > 0 ? p.hi(static_cast<int>(j)) : p.lo(static_cast<int>(j));
+    if (!std::isfinite(bnd)) return fail("var " + std::to_string(j) + ": box supremum is +inf");
+    boxsup += w[j] * Rat(bnd);
+  }
+  if (boxsup >= ytb) {
+    return fail("box supremum " + reference_rat_str(boxsup) +
+                " does not fall strictly below y'b " + reference_rat_str(ytb));
+  }
+  return true;
+}
+
+/// A random LP over pool_double() data: bounds finite, half-infinite or
+/// fixed, sparse rows of every sense.
+nd::lp::Problem random_lp(nd::Prng& g) {
+  const double inf = std::numeric_limits<double>::infinity();
+  nd::lp::Problem p;
+  const auto n = g.uniform_int(1, 8), m = g.uniform_int(1, 8);
+  for (std::int64_t j = 0; j < n; ++j) {
+    double lo = pool_double(g), hi = pool_double(g);
+    if (hi < lo) std::swap(lo, hi);
+    switch (g.uniform_int(0, 4)) {
+      case 0: lo = -inf; break;
+      case 1: hi = inf; break;
+      case 2: hi = lo; break;
+      default: break;
+    }
+    p.add_var(lo, hi, pool_double(g));
+  }
+  const Sense senses[] = {Sense::LE, Sense::GE, Sense::EQ};
+  for (std::int64_t r = 0; r < m; ++r) {
+    std::vector<std::pair<int, double>> coef;
+    for (std::int64_t j = 0; j < n; ++j) {
+      if (g.bernoulli(0.6)) coef.emplace_back(static_cast<int>(j), pool_double(g));
+    }
+    p.add_row(coef, senses[g.uniform_int(0, 2)], pool_double(g));
+  }
+  return p;
+}
+
+TEST(ExactLp, DyadicSafeBoundAndFarkasMatchRatReference) {
+  nd::Prng g(1974);
+  int bounds = 0, no_bound = 0, proved = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const nd::lp::Problem p = random_lp(g);
+    for (int v = 0; v < 4; ++v) {
+      // Wrong-signed and zero components come from the pool; now and then a
+      // non-finite one.
+      std::vector<double> y(static_cast<std::size_t>(p.num_rows()));
+      for (double& e : y) e = pool_double(g);
+      if (g.bernoulli(0.05)) {
+        y[0] = g.bernoulli(0.5) ? std::numeric_limits<double>::infinity()
+                                : std::numeric_limits<double>::quiet_NaN();
+      }
+      const std::string what = "trial " + std::to_string(trial) + " vector " + std::to_string(v);
+      Rat b_ref, b;
+      const bool has_ref = reference_safe_dual_bound(p, y, &b_ref);
+      ASSERT_EQ(nd::analysis::exact_safe_dual_bound(p, y, &b), has_ref) << what;
+      if (has_ref) {
+        ASSERT_EQ(b, b_ref) << what;
+        ++bounds;
+      } else {
+        ++no_bound;
+      }
+      std::string why_ref, why;
+      const bool proves_ref = reference_farkas_proves(p, y, &why_ref);
+      ASSERT_EQ(nd::analysis::exact_farkas_proves(p, y, &why), proves_ref) << what;
+      ASSERT_EQ(why, why_ref) << what;
+      proved += proves_ref ? 1 : 0;
+    }
+  }
+  // Infeasible by construction: x0 in [0, u] but x0 >= u + 1; the ray (1)
+  // proves it, and sign-flipped or zeroed rays do not.
+  for (int trial = 0; trial < 50; ++trial) {
+    nd::lp::Problem p;
+    const double u = std::abs(pool_double(g));
+    p.add_var(0.0, u, pool_double(g));
+    p.add_row({{0, 1.0}}, Sense::GE, u + 1.0);
+    for (const double ray : {1.0, g.uniform(0.0, 1e300), -1.0, 0.0}) {
+      std::string why_ref, why;
+      const bool proves_ref = reference_farkas_proves(p, {ray}, &why_ref);
+      ASSERT_EQ(nd::analysis::exact_farkas_proves(p, {ray}, &why), proves_ref) << u;
+      ASSERT_EQ(why, why_ref) << u;
+      proved += proves_ref ? 1 : 0;
+    }
+  }
+  EXPECT_GE(bounds, 200);
+  EXPECT_GE(no_bound, 200);
+  EXPECT_GE(proved, 50);
+}
+
+TEST(ExactLp, NonFiniteDataIsStillRejected) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    // The LP refuses a non-finite coefficient, rhs or objective outright...
+    nd::lp::Problem p;
+    EXPECT_ANY_THROW(p.add_var(0.0, 1.0, bad));
+    p.add_var(0.0, 1.0, 1.0);
+    EXPECT_ANY_THROW(p.add_row({{0, bad}}, Sense::LE, 1.0));
+    EXPECT_ANY_THROW(p.add_row({{0, 1.0}}, Sense::LE, bad));
+    // ...the exact types refuse to import one...
+    EXPECT_THROW(Rat{bad}, std::domain_error);
+    EXPECT_THROW(nd::analysis::Dyadic{bad}, std::domain_error);
+    // ...and a non-finite dual or ray component yields no bound and no proof.
+    const auto lp = simple_lp();
+    Rat bound;
+    EXPECT_FALSE(nd::analysis::exact_safe_dual_bound(lp, {0.0, bad}, &bound));
+    std::string why;
+    EXPECT_FALSE(nd::analysis::exact_farkas_proves(lp, {bad, 0.0}, &why));
+    EXPECT_EQ(why, "non-finite ray component");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Exact B&B audit replay
 
@@ -448,6 +915,56 @@ TEST(ExactBnb, RejectsBestBoundAboveIncumbent) {
   audit.best_bound = audit.obj + 1e-9;
   const auto out = nd::analysis::certify_bnb_exact(m, audit);
   EXPECT_GE(out.report.count_code(codes::kBnbExactObjective), 1) << out.report.to_table();
+}
+
+/// Intervals lp::Problem::set_var_bounds refuses.
+const std::pair<double, double> kUnloadable[] = {
+    {1.0, 0.0},
+    {-std::numeric_limits<double>::infinity(), std::numeric_limits<double>::infinity()},
+    {std::numeric_limits<double>::quiet_NaN(), 1.0}};
+
+TEST(ExactBnb, UnloadableBranchIntervalIsAStructureError) {
+  const auto m = staircase_model();
+  const auto genuine = solved_audit(m, 1, false);
+  std::size_t node = genuine.nodes.size();
+  for (std::size_t i = 1; i < genuine.nodes.size(); ++i) {
+    if (genuine.nodes[i].var >= 0 && genuine.nodes[i].lo < genuine.nodes[i].hi) {
+      node = i;
+      break;
+    }
+  }
+  ASSERT_LT(node, genuine.nodes.size()) << "fixture needs a branch interval wider than a point";
+  auto swapped = genuine;
+  std::swap(swapped.nodes[node].lo, swapped.nodes[node].hi);
+  std::vector<AuditLog> tampered = {swapped};
+  for (const auto& [lo, hi] : kUnloadable) {
+    tampered.push_back(genuine);
+    tampered.back().nodes[node].lo = lo;
+    tampered.back().nodes[node].hi = hi;
+  }
+  for (const AuditLog& audit : tampered) {
+    nd::analysis::ExactBnbOutcome out;
+    ASSERT_NO_THROW(out = nd::analysis::certify_bnb_exact(m, audit));
+    EXPECT_EQ(out.report.count_code(codes::kBnbStructure), 1) << out.report.to_table();
+    EXPECT_FALSE(out.accepted());
+    EXPECT_EQ(out.bounds_reproved, 0) << "no node may be loaded";
+  }
+}
+
+TEST(ExactBnb, UnloadableRootFixingIsAStructureError) {
+  const auto m = staircase_model();
+  const auto genuine = solved_audit(m, 1, false);
+  for (const auto& [lo, hi] : kUnloadable) {
+    // One fixing per variable: a node whose path never branches on a
+    // variable loads that variable's fixing.
+    auto audit = genuine;
+    for (int v = 0; v < m.num_vars(); ++v) audit.root_fixings.push_back({v, true, lo, hi});
+    nd::analysis::ExactBnbOutcome out;
+    ASSERT_NO_THROW(out = nd::analysis::certify_bnb_exact(m, audit));
+    EXPECT_EQ(out.report.count_code(codes::kBnbStructure), m.num_vars()) << out.report.to_table();
+    EXPECT_FALSE(out.accepted());
+    EXPECT_EQ(out.bounds_reproved, 0) << "no node may be loaded";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -764,6 +1281,11 @@ TEST(ExactTelemetry, CountersObserveExactChecks) {
   // Every prune of a fresh audit is proved from its recorded vector.
   ASSERT_EQ(totals.count("exact.bnb_resolves"), std::size_t{1});
   EXPECT_EQ(totals.at("exact.bnb_resolves"), 0);
+  // The replay's two halves are timed.
+  for (const char* timer : {"exact.time.root_ns", "exact.time.nodes_ns"}) {
+    ASSERT_EQ(totals.count(timer), std::size_t{1}) << timer;
+    EXPECT_GT(totals.at(timer), 0) << timer;
+  }
   EXPECT_GE(profile.values.count("exact.verify_ms"), std::size_t{1});
 }
 
