@@ -56,9 +56,9 @@ struct CrosscheckOptions {
   /// sound) bound comparison instead of failing the harness.
   double milp_time_limit_s = 8.0;
   /// Threads for each MILP solve (milp::MipOptions::num_threads): 1 runs the
-  /// sequential solver, >1 the work-sharing parallel solver, 0 the machine
-  /// default. The certify stage replays the merged audit either way, so
-  /// crosscheck doubles as an end-to-end test of the parallel path.
+  /// tree search on the calling thread alone, >1 adds pool workers, 0 the
+  /// machine default. The certify stage replays the merged audit either way,
+  /// so crosscheck doubles as an end-to-end test of the work-sharing path.
   int num_threads = 1;
   double tol = 1e-6;          ///< objective/energy comparison tolerance
   /// Run the MILP with the proof-carrying presolve (instance reductions +

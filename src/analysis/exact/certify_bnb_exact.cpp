@@ -26,12 +26,6 @@ std::string fmt(double v) {                                           // rat-io
   return buf;
 }
 
-std::string rat_str(const Rat& r) {
-  std::string s = r.to_string();
-  if (s.size() > 40) s = s.substr(0, 40) + "...";
-  return s + " ~" + fmt(r.to_double());
-}
-
 /// Loads node domains into one scratch problem (what exact bounding reads)
 /// and re-solves node LPs over them with one engine reused across nodes, so
 /// the shared deadline and counters carry over. Re-solves are always cold —

@@ -18,14 +18,6 @@ using lp::VarStatus;
 
 bool finite(double v) { return std::isfinite(v); }
 
-std::string rat_str(const Rat& v) {
-  // Diagnostics show both the exact fraction (truncated if enormous) and a
-  // rounded decimal for the human reader.
-  std::string s = v.to_string();
-  if (s.size() > 40) s = s.substr(0, 37) + "...";
-  return s + " (~" + std::to_string(v.to_double()) + ")";
-}
-
 /// The odd part of the lcm of the denominators in `v`: D·v_i is dyadic for
 /// every i. 1 when every denominator is a power of two.
 BigInt odd_common_denominator(const std::vector<Rat>& v) {

@@ -6,7 +6,8 @@
 // positive denominator. No external dependencies, header-only, and no
 // floating-point state: the only `double` appearances are the I/O boundary
 // (exact dyadic decomposition on the way in, display-only conversion on the
-// way out), each annotated `rat-io` for the banned-pattern lint.
+// way out, rat_str included), each annotated `rat-io` for the banned-pattern
+// lint.
 //
 // Design notes:
 //  - Every double is an exactly representable dyadic rational, so
@@ -31,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -792,5 +794,16 @@ class Dyadic {
   BigInt m_;
   std::int64_t e_ = 0;  // value = m_ · 2^e_
 };
+
+/// Diagnostic rendering shared by the exact checkers: the fraction, cut
+/// after 37 characters, and its rounded value in %.12g, so a drift of 1e-9
+/// reads "(~1e-09)" rather than vanishing under a fixed-point format.
+inline std::string rat_str(const Rat& v) {
+  std::string s = v.to_string();
+  if (s.size() > 40) s = s.substr(0, 37) + "...";
+  char approx[32];
+  std::snprintf(approx, sizeof approx, "%.12g", v.to_double());  // rat-io
+  return s + " (~" + approx + ")";
+}
 
 }  // namespace nd::analysis

@@ -1,7 +1,7 @@
 // Fixed-size worker pool with a FIFO task queue, plus a blocking
 // parallel_for helper. This is the only place the library spawns threads;
 // both concurrent consumers — the work-sharing branch-and-bound
-// (src/milp/parallel_bnb.cpp) and the seed-sweep runner
+// (src/milp/branch_and_bound.cpp, at two or more threads) and the seed-sweep runner
 // (bench/sweep_runner.cpp) — build on it. See docs/parallelism.md for the
 // threading model and lock order.
 //

@@ -34,6 +34,9 @@ namespace {
 constexpr double kTol = 1e-7;         ///< primal/dual feasibility tolerance
 constexpr int kBlandAfter = 400;      ///< consecutive degenerate pivots before Bland
 constexpr int kRecheckEvery = 4096;   ///< pivots between numerical residual checks
+/// Dual-loop refactorizations in a row, on factors that are already fresh,
+/// before the loop refuses the column it keeps failing to pivot on.
+constexpr int kFreshRetryCap = 2000;
 constexpr double kPivotTol = 1e-9;
 constexpr double kDegenStep = 1e-12;
 
@@ -742,6 +745,7 @@ SolveStatus RevisedEngine::dual_loop() {
   // real objective to decide feasibility).
   int dual_degen_run = 0;
   const int dual_degen_cap = m_ + 100;
+  int fresh_retries = 0;  ///< kFreshRetryCap's count, reset by every pivot
   while (iters++ < opt_.max_iters) {
     if (past_deadline(deadline_, iters)) {
       return SolveStatus::kIterLimit;
@@ -836,7 +840,14 @@ SolveStatus RevisedEngine::dual_loop() {
     if (std::abs(w[static_cast<std::size_t>(r)]) <= kPivotTol) {
       // The column was selected on the BTRAN pivot row (alpha[q]) but the
       // FTRAN image disagrees — the eta file has drifted. Refactorize and
-      // retry the iteration against the fresh factors.
+      // retry the iteration against the fresh factors. When fresh factors
+      // keep disagreeing, refuse the column as for a rejected pivot: the
+      // retry alone ran one dual_resolve into ~100k refactorizations.
+      if (lu_.eta_count() == 0 && ++fresh_retries > kFreshRetryCap) {
+        banned[static_cast<std::size_t>(q)] = 1;
+        fresh_retries = 0;
+        continue;
+      }
       if (!refactorize()) {
         return SolveStatus::kIterLimit;
       }
@@ -854,6 +865,7 @@ SolveStatus RevisedEngine::dual_loop() {
       continue;
     }
     std::fill(banned.begin(), banned.end(), 0);
+    fresh_retries = 0;
     if (std::abs(d_[static_cast<std::size_t>(q)]) <= kTol) {
       if (++dual_degen_run > dual_degen_cap) {
         stalled_ = true;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace nd::milp {
 
@@ -218,13 +220,17 @@ AuditLog audit_from_json(const json::Value& v) {
   return log;
 }
 
-bool merge_audit_shards(const std::vector<AuditShard>& shards, AuditLog* log) {
-  log->nodes.clear();
-  std::size_t total = 0;
-  for (const AuditShard& s : shards) total += s.nodes.size();
-  log->nodes.reserve(total);
-  for (const AuditShard& s : shards) {
-    log->nodes.insert(log->nodes.end(), s.nodes.begin(), s.nodes.end());
+bool merge_audit_shards(std::vector<AuditShard> shards, AuditLog* log) {
+  if (shards.size() == 1) {
+    log->nodes = std::move(shards[0].nodes);
+  } else {
+    log->nodes.clear();
+    std::size_t total = 0;
+    for (const AuditShard& s : shards) total += s.nodes.size();
+    log->nodes.reserve(total);
+    for (AuditShard& s : shards) {
+      std::move(s.nodes.begin(), s.nodes.end(), std::back_inserter(log->nodes));
+    }
   }
   std::sort(log->nodes.begin(), log->nodes.end(),
             [](const AuditNode& a, const AuditNode& b) { return a.id < b.id; });

@@ -131,15 +131,15 @@ AuditLog audit_from_json(const json::Value& v);
 std::vector<std::pair<double, double>> node_domain(const Model& model, const AuditLog& log,
                                                    int node_id);
 
-/// One worker's slice of a parallel search tree: audit nodes in the order
-/// that worker processed them, each carrying a globally unique, globally
+/// One worker's slice of the search tree: audit nodes in the order that
+/// worker processed them, each carrying a globally unique, globally
 /// creation-ordered id (assigned under the queue lock at node creation).
 struct AuditShard {
   std::vector<AuditNode> nodes;
 };
 
-/// Merge per-worker shards into `log->nodes`, restoring global creation
-/// order by sorting on node id — the merge is deterministic for a given set
+/// Merge per-worker shards into `log->nodes` (a single shard is moved, not
+/// copied), restoring global creation order by sorting on node id — the merge is deterministic for a given set
 /// of shards regardless of which worker produced which node. Incumbent
 /// updates are re-filtered to be strictly improving in id order: a worker
 /// records an update when it improves the SHARED incumbent at that wall-clock
@@ -153,6 +153,6 @@ struct AuditShard {
 /// Returns false (and leaves `log->nodes` empty) if the shard ids are not a
 /// contiguous 0..K-1 range or contain duplicates — that indicates a recording
 /// bug, not a property of any legal interleaving.
-bool merge_audit_shards(const std::vector<AuditShard>& shards, AuditLog* log);
+bool merge_audit_shards(std::vector<AuditShard> shards, AuditLog* log);
 
 }  // namespace nd::milp

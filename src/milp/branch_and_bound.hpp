@@ -1,10 +1,12 @@
 // Branch-and-bound MILP solver.
 //
-// Strategy: depth-first with plunging (the child nearest the fractional LP
-// value is explored first), most-fractional branching, a single simplex
-// engine reused across the whole tree (branching = bound change + dual
-// re-solve), warm-start incumbents, and wall-clock/node limits. This stands
-// in for the commercial solver (Gurobi) used in the paper; see DESIGN.md.
+// Strategy: one work-sharing tree search for every thread count. Each worker
+// dives depth-first (the child nearest the fractional LP value first) with
+// most-fractional branching on one simplex engine reused across its nodes
+// (branching = bound change + dual re-solve); workers share open subtrees,
+// the incumbent and the node count. Warm-start incumbents, wall-clock/node
+// limits. This stands in for the commercial solver (Gurobi) used in the
+// paper; see DESIGN.md and docs/parallelism.md.
 #pragma once
 
 #include <cstdint>
@@ -33,14 +35,14 @@ struct MipOptions {
   double int_tol = 1e-6;
   double abs_gap = 1e-9;
   double rel_gap = 1e-6;
-  bool verbose = false;
-  /// Worker threads for the tree search. 1 (default) runs the sequential
-  /// depth-first solver; >1 runs the work-sharing parallel solver
-  /// (parallel_bnb.cpp): workers pull open subtrees from a shared best-bound
-  /// queue, share the incumbent, and write per-worker audit shards that are
-  /// merged by node id at the end. 0 means ThreadPool::default_threads().
-  /// The proved optimum is identical for every thread count; the tree shape
-  /// (and therefore the audit log) is not, but every log certifies.
+  /// Workers in the tree search (branch_and_bound.cpp): the calling thread
+  /// plus num_threads - 1 pool threads, pulling open subtrees from a shared
+  /// best-bound queue, sharing the incumbent, and writing per-worker audit
+  /// shards that are merged by node id at the end. 1 (default) starts no
+  /// thread and is a sequential depth-first search. 0 means
+  /// ThreadPool::default_threads(). The proved optimum is identical for
+  /// every thread count; the tree shape (and therefore the audit log) is
+  /// not, but every log certifies.
   int num_threads = 1;
   /// Optional integer-feasible starting point (e.g. from the heuristic);
   /// silently ignored if it fails feasibility validation.

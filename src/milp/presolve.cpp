@@ -1,7 +1,6 @@
 #include "milp/presolve.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -75,13 +74,6 @@ MipResult detail::solve_presolved(const Model& model, const MipOptions& opt) {
     pm = presolve_model(model, opt.instance_reductions);
   }
   if (opt.telemetry) emit_presolve_counters(pm.map.stats, pm.rounds);
-  if (opt.verbose && !pm.map.identity()) {
-    std::printf(
-        "[bnb] presolve: -%d rows -%d cols (%d pinned) -%lld nonzeros, "
-        "%d fixings, %d rounds\n",
-        pm.map.stats.rows_removed, pm.map.stats.cols_removed, pm.map.stats.cols_pinned,
-        pm.map.stats.nonzeros_removed, pm.map.stats.fixings, pm.rounds);
-  }
 
   AuditLog* aud = opt.audit;
 

@@ -10,8 +10,8 @@
 //
 // `detail::solve_presolved` is the front half of milp::solve when
 // MipOptions::presolve is on: presolve once at the root, search the REDUCED
-// model (sequential or parallel — the thread dispatch happens inside the
-// inner solve), then lift the result and the audit log back to the original
+// model (at the caller's thread count — the inner solve runs the tree
+// search), then lift the result and the audit log back to the original
 // space. The audit keeps every number in reduced space and carries the
 // reduction log plus the objective shift, so analysis/certify_bnb can
 // independently re-prove the reductions, rebuild the reduced model with the
@@ -49,7 +49,7 @@ Model reduced_model(const Model& original, const lp::PresolvedLp& map);
 namespace detail {
 
 /// milp::solve with MipOptions::presolve honoured: presolve at the root,
-/// solve the reduced model (threads dispatched inside), lift result + audit.
+/// solve the reduced model (the inner milp::solve), lift result + audit.
 /// Same contract as milp::solve.
 MipResult solve_presolved(const Model& model, const MipOptions& opt);
 

@@ -68,6 +68,27 @@ set -e
 test "$rc" = "1"
 grep -q "bnb-structure" "$DIR/inverted.txt"
 
+# File mode with --certificate, --audit and --exact proves each distinct
+# certificate once: here the audit's root certificate is the certificate
+# file, so its lp-exact-* diagnostics appear once, not twice, and each shows
+# its magnitude instead of "~0.000000". The run still exits 0.
+"$CLI" gen --tasks 5 --rows 2 --cols 2 --alpha 2.0 --seed 1 -o "$DIR/xprob.json"
+"$CLI" certify --problem "$DIR/xprob.json" --method optimal \
+  --emit-certificate "$DIR/xcert.json" --emit-audit "$DIR/xaudit.json" \
+  -o "$DIR/xsol.json" > /dev/null
+"$CLI" certify --problem "$DIR/xprob.json" --solution "$DIR/xsol.json" \
+  --certificate "$DIR/xcert.json" --audit "$DIR/xaudit.json" --exact > "$DIR/xexact.txt"
+grep "lp-exact-" "$DIR/xexact.txt" > "$DIR/xlines.txt"
+test -s "$DIR/xlines.txt"
+if [ -n "$(sort "$DIR/xlines.txt" | uniq -d)" ]; then
+  echo "expected each lp-exact diagnostic once" >&2
+  exit 1
+fi
+if grep -q "~0\.000000" "$DIR/xlines.txt"; then
+  echo "expected exact diagnostics to print their magnitude" >&2
+  exit 1
+fi
+
 # Lint: static instance analysis; --presolve-report prints the proof-carrying
 # reduction summary (canonical hash + per-pass tallies) without solving.
 "$CLI" lint --problem "$DIR/prob.json" --presolve-report > "$DIR/lint.txt"

@@ -562,6 +562,20 @@ TEST(ExactLp, RejectsObjectiveForgeryBelowFloatTolerance) {
   EXPECT_GE(out.report.count_code(codes::kLpExactObjective), 1) << out.report.to_table();
 }
 
+TEST(ExactLp, DiagnosticsPrintTheMagnitudeOfSmallDrifts) {
+  // A 1e-9 value keeps its size in the rounded decimal, not "~0.000000".
+  const std::string tiny = nd::analysis::rat_str(Rat(1e-9));
+  EXPECT_NE(tiny.find("(~1e-09)"), std::string::npos) << tiny;
+  const auto p = simple_lp();
+  auto cert = solved_cert(p);
+  cert.obj -= 1e-9;  // the stored drift is 1 - fl(1 - 1e-9), just under 1e-9
+  const std::string table = nd::analysis::certify_lp_exact(p, cert).report.to_table();
+  EXPECT_NE(table.find("claimed objective drifts 9007199/9007199254740992 (~9.99999971718e-10)"),
+            std::string::npos)
+      << table;
+  EXPECT_EQ(table.find("0.000000"), std::string::npos) << table;
+}
+
 TEST(ExactLp, RejectsDualDriftBelowFloatTolerance) {
   const auto p = simple_lp();
   auto cert = solved_cert(p);
@@ -641,12 +655,6 @@ TEST(ExactLp, SafeDualBoundSurvivesWrongSignedDuals) {
 
 // The safe bound and the Farkas check as they were before they summed
 // dyadics: every term a reduced Rat. References for the dyadic versions.
-std::string reference_rat_str(const Rat& v) {
-  std::string s = v.to_string();
-  if (s.size() > 40) s = s.substr(0, 37) + "...";
-  return s + " (~" + std::to_string(v.to_double()) + ")";
-}
-
 bool reference_safe_dual_bound(const nd::lp::Problem& p, const std::vector<double>& y,
                                Rat* bound) {
   const std::size_t n = static_cast<std::size_t>(p.num_vars());
@@ -720,8 +728,8 @@ bool reference_farkas_proves(const nd::lp::Problem& p, const std::vector<double>
     boxsup += w[j] * Rat(bnd);
   }
   if (boxsup >= ytb) {
-    return fail("box supremum " + reference_rat_str(boxsup) +
-                " does not fall strictly below y'b " + reference_rat_str(ytb));
+    return fail("box supremum " + nd::analysis::rat_str(boxsup) +
+                " does not fall strictly below y'b " + nd::analysis::rat_str(ytb));
   }
   return true;
 }

@@ -282,7 +282,7 @@ TEST(Obs, ParallelBnbBusyTimeWithinWallClock) {
   EXPECT_EQ(per_worker, busy_total);
   // busy + idle covers each worker's lifetime, so idle is present too.
   EXPECT_EQ(p.counters.count("bnb.par.idle_ns"), 1u);
-  // Node dispositions flow into the same names the sequential solver uses.
+  // Node dispositions flow into the same names at every thread count.
   EXPECT_EQ(p.counters.at("bnb.nodes"), res.nodes);
 }
 

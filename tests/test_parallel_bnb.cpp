@@ -1,6 +1,6 @@
-// Tests for the work-sharing parallel branch-and-bound (milp/parallel_bnb)
-// and the audit-shard merge (milp::merge_audit_shards,
-// analysis::certify_bnb_shards).
+// Tests for the work-sharing branch-and-bound (milp/branch_and_bound.cpp)
+// at one and more threads, and the audit-shard merge
+// (milp::merge_audit_shards, analysis::certify_bnb_shards).
 //
 // The determinism contract under test: for every thread count the solver
 // proves the SAME optimal objective, and every audit log it emits — whatever
@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "milp/audit.hpp"
 #include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -30,6 +34,7 @@ using nd::milp::AuditLog;
 using nd::milp::MipOptions;
 using nd::milp::MipStatus;
 using nd::milp::Model;
+using nd::milp::NodeDisp;
 
 // minimize -x0 - 0.9 x1  s.t.  x0 + x1 <= 7.5,  x0, x1 in [0,10] integer.
 // Fractional LP relaxation, so every thread count has to branch.
@@ -42,7 +47,7 @@ Model staircase_model() {
 }
 
 /// Seeded random binary program with a handful of mixed-sense rows — the
-/// same family the sequential solver is brute-force-validated on.
+/// same family the one-thread search is brute-force-validated on.
 Model random_binary_model(int seed) {
   nd::Prng g(static_cast<std::uint64_t>(seed) * 104729 + 17);
   const int n = static_cast<int>(g.uniform_int(6, 12));
@@ -61,6 +66,24 @@ Model random_binary_model(int seed) {
   return m;
 }
 
+/// Seeded two-row knapsack over integers in [0, 3] with integer objective
+/// and row coefficients: ties between node bounds and integer points are
+/// common, so even one thread skips siblings under their parent's bound.
+Model integer_knapsack_model(int seed) {
+  nd::Prng g(static_cast<std::uint64_t>(seed) * 7919 + 3);
+  const int n = static_cast<int>(g.uniform_int(5, 9));
+  Model m;
+  std::vector<std::pair<int, double>> a, b;
+  for (int j = 0; j < n; ++j) {
+    m.add_int(0.0, 3.0, -static_cast<double>(g.uniform_int(1, 4)));
+    a.emplace_back(j, static_cast<double>(g.uniform_int(1, 6)));
+    b.emplace_back(j, static_cast<double>(g.uniform_int(1, 6)));
+  }
+  m.add_row(a, Sense::LE, static_cast<double>(g.uniform_int(8, 20)));
+  m.add_row(b, Sense::LE, static_cast<double>(g.uniform_int(8, 20)));
+  return m;
+}
+
 struct SolveOut {
   nd::milp::MipResult res;
   AuditLog audit;
@@ -72,6 +95,26 @@ SolveOut solve_with_threads(const Model& m, int threads, MipOptions opt = {}) {
   opt.audit = &out.audit;
   out.res = nd::milp::solve(m, opt);
   return out;
+}
+
+/// A solve plus the obs counter totals of a session opened around it (empty
+/// when telemetry is compiled out).
+struct CountedSolve {
+  SolveOut out;
+  std::map<std::string, long long> counters;
+};
+
+CountedSolve solve_counted(const Model& m, int threads, MipOptions opt = {}) {
+  CountedSolve c;
+  const bool own_session = nd::obs::start();
+  c.out = solve_with_threads(m, threads, std::move(opt));
+  if (own_session) c.counters = nd::obs::stop().counters;
+  return c;
+}
+
+long long counter_of(const std::map<std::string, long long>& counters, const char* name) {
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -121,7 +164,7 @@ TEST_P(ParallelBnbSeeds, SameProvedOptimumAndCertifiableAudit) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelBnbSeeds, ::testing::Range(0, 5));
 
 // ---------------------------------------------------------------------------
-// Feature parity with the sequential solver on its optional hooks.
+// The optional hooks at several threads.
 
 TEST(ParallelBnb, WarmStartSeedsTheSharedIncumbent) {
   const Model m = staircase_model();
@@ -187,15 +230,94 @@ TEST(ParallelBnb, NodeLimitYieldsHonestNonOptimalAudit) {
   // This test targets the raw tree-limit path: root presolve shrinks the
   // model enough that three nodes can prove optimality, so turn it off.
   opt.presolve = false;
-  const SolveOut out = solve_with_threads(m, 2, opt);
-  EXPECT_NE(out.res.status, MipStatus::kOptimal);
-  if (out.res.has_solution()) {
-    EXPECT_LE(out.res.best_bound, out.res.obj + 1e-9);
+  for (const int threads : {1, 2, 4}) {
+    const SolveOut out = solve_with_threads(m, threads, opt);
+    EXPECT_NE(out.res.status, MipStatus::kOptimal) << "threads " << threads;
+    if (out.res.has_solution()) {
+      EXPECT_LE(out.res.best_bound, out.res.obj + 1e-9) << "threads " << threads;
+    }
+    // A truncated tree (limit / unprocessed leaves) must still replay cleanly
+    // for its claimed non-proved status.
+    const Report rep = nd::analysis::certify_bnb(m, out.audit);
+    EXPECT_EQ(rep.num_errors(), 0) << "threads " << threads << "\n" << rep.to_table();
+    if (threads != 1) continue;
+    // One thread: the node that trips the limit is counted, and every
+    // sibling still pending on the depth-first stack is recorded unreached.
+    EXPECT_EQ(out.res.nodes, opt.node_limit + 1);
+    std::vector<int> children(out.audit.nodes.size(), 0);
+    int unprocessed = 0;
+    for (const auto& n : out.audit.nodes) {
+      if (n.parent >= 0) ++children[static_cast<std::size_t>(n.parent)];
+      if (n.disp == NodeDisp::kUnprocessed) ++unprocessed;
+    }
+    EXPECT_GE(unprocessed, 1);
+    for (const auto& n : out.audit.nodes) {
+      if (n.disp == NodeDisp::kBranched) {
+        EXPECT_EQ(children[static_cast<std::size_t>(n.id)], 2) << "node " << n.id;
+      }
+    }
   }
-  // A truncated tree (limit / unprocessed leaves) must still replay cleanly
-  // for its claimed non-proved status.
-  const Report rep = nd::analysis::certify_bnb(m, out.audit);
-  EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
+}
+
+// ---------------------------------------------------------------------------
+// One driver: one thread is the degenerate case of the work-sharing search.
+
+TEST(ParallelBnb, OneThreadSolvesOnlyTheRootCold) {
+  if (!nd::obs::compiled_in()) {
+    SUCCEED() << "telemetry compiled out: no bnb.par.* counters to read";
+    return;
+  }
+  const CountedSolve c = solve_counted(staircase_model(), 1);
+  ASSERT_EQ(c.out.res.status, MipStatus::kOptimal);
+  ASSERT_GT(c.out.res.nodes, 1);
+  // Every pop after the root is on the engine's path, so it is warm.
+  EXPECT_EQ(counter_of(c.counters, "bnb.par.cold_solves"), 1);
+  EXPECT_EQ(counter_of(c.counters, "bnb.par.warm_resolves"), c.out.res.nodes - 1);
+  EXPECT_EQ(counter_of(c.counters, "bnb.par.donations"), 0);
+}
+
+// The counting rule: a node whose parent bound already clears the cutoff is
+// skipped before it is counted, a node left unreached by a limit is never
+// counted, and every other node (the one a limit cuts off included) is.
+TEST(ParallelBnb, NodeCountIsEveryAdmittedNode) {
+  std::vector<std::pair<std::string, Model>> models;
+  for (int seed = 0; seed < 5; ++seed) {
+    models.emplace_back("binary " + std::to_string(seed), random_binary_model(seed));
+  }
+  // One thread skips siblings on these two (3 and 5 skips).
+  for (const int seed : {22, 55}) {
+    models.emplace_back("knapsack " + std::to_string(seed), integer_knapsack_model(seed));
+  }
+  long long skipped = 0;
+  long long limit_cut = 0;
+  for (const auto& [name, m] : models) {
+    for (const std::int64_t node_limit : {std::int64_t{3}, MipOptions{}.node_limit}) {
+      for (const int threads : {1, 2, 4}) {
+        MipOptions opt;
+        opt.node_limit = node_limit;
+        opt.presolve = false;
+        const CountedSolve c = solve_counted(m, threads, opt);
+        long long counted = 0;
+        for (const auto& n : c.out.audit.nodes) {
+          if (n.disp == NodeDisp::kSkippedParentBound) {
+            ++skipped;
+          } else if (n.disp != NodeDisp::kUnprocessed) {
+            ++counted;
+          }
+          if (n.disp == NodeDisp::kLimit) ++limit_cut;
+        }
+        const std::string where = name + " limit " + std::to_string(node_limit) +
+                                  " threads " + std::to_string(threads);
+        EXPECT_EQ(c.out.res.nodes, counted) << where;
+        if (nd::obs::compiled_in()) {
+          EXPECT_EQ(counter_of(c.counters, "bnb.nodes"), c.out.res.nodes) << where;
+        }
+      }
+    }
+  }
+  // Both sides of the rule were exercised.
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(limit_cut, 0);
 }
 
 TEST(ParallelBnb, ThreadCountZeroUsesDefaultAndSolves) {

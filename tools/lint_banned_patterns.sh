@@ -1,7 +1,7 @@
 #!/bin/sh
 # Banned-pattern lint over src/, tests/ and tools/.
 #
-# Three pattern classes, each with a rationale:
+# Nine pattern classes, each with a rationale:
 #   1. rand()/std::rand — all randomness must flow through common/prng.hpp so
 #      every instance, mesh and heuristic run is reproducible from a seed.
 #   2. floating-point ==/!= against a float literal — almost always a
@@ -33,6 +33,11 @@
 #      expressions), because the exact proof layer re-checks certificates
 #      produced through these kernels and both sides must agree on what
 #      counts as zero.
+#   9. printf / std::cout / std::cerr in the solver layers (src/lp/,
+#      src/milp/) — those layers report through obs (counters, spans and the
+#      flight recorder), never by writing to the terminal; printing is the
+#      CLI's and the benches' job. snprintf into a buffer is not output and
+#      passes.
 #
 # Exit 0 when clean, 1 with one "file:line: message" per hit otherwise.
 # Run from anywhere: paths resolve relative to the repo root. POSIX sh only —
@@ -110,6 +115,13 @@ report_hits "$hits" "tolerance literal in a presolve layer; derive margins from 
 lu_files="$(find src/lp -name 'sparse.*' ; find src/lp -name 'basis_lu.*')"
 hits="$(printf '%s\n' "$lu_files" | sort | xargs grep -nE '1[eE]-[0-9]' /dev/null)" || true
 report_hits "$hits" "tolerance literal in a sparse/LU kernel; derive margins from analysis/exact/envelope.hpp"
+
+# --- 9. terminal output from the solver layers ------------------------------
+solver_files="$(find src/lp src/milp -name '*.cpp' -o -name '*.hpp' | sort)"
+hits="$(printf '%s\n' "$solver_files" | xargs grep -nE \
+  '(^|[^_[:alnum:]])(std::)?(f|v|vf)?printf[[:space:]]*\(|(^|[^_[:alnum:]])(std::)?puts[[:space:]]*\(|std::(cout|cerr|clog)' \
+  /dev/null)" || true
+report_hits "$hits" "terminal output in a solver layer; report through obs (counters, spans, ND_OBS_LOG)"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint_banned_patterns: clean"

@@ -49,6 +49,7 @@
 #include <ctime>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -72,6 +73,7 @@
 #include "heuristic/annealing.hpp"
 #include "heuristic/phases.hpp"
 #include "lp/certificate.hpp"
+#include "lp/presolve.hpp"
 #include "milp/audit.hpp"
 #include "milp/presolve.hpp"
 #include "model/formulation.hpp"
@@ -350,6 +352,17 @@ void verify_deployment_exact(const deploy::DeploymentProblem& p,
   rep.merge(analysis::verify_deployment(p, s, vopt).report);
 }
 
+/// True when certify_bnb_exact's root re-check proves `cert` against this
+/// same LP: the audit's root certificate is `cert`, and its presolve, if
+/// any, left the model as it was.
+bool audit_reproves_certificate(const milp::Model& model, const milp::AuditLog& audit,
+                                const lp::Certificate& cert) {
+  if (lp::certificate_to_json(audit.root_cert).dump() != lp::certificate_to_json(cert).dump()) {
+    return false;
+  }
+  return !audit.presolved || lp::apply_reductions(model.lp(), audit.reductions).identity();
+}
+
 int cmd_certify(const Args& a) {
   if (a.get("problem").empty()) return usage();
   auto p = deploy::problem_from_json(json::parse(deploy::read_file(a.get("problem"))));
@@ -368,33 +381,39 @@ int cmd_certify(const Args& a) {
     const double be = deploy::evaluate_energy(*p, s).max_proc();
     if (!a.get("certificate").empty() || !a.get("audit").empty()) {
       const model::Formulation f(*p);
+      std::optional<milp::AuditLog> audit;
+      if (!a.get("audit").empty()) {
+        audit = milp::audit_from_json(json::parse(deploy::read_file(a.get("audit"))));
+      }
       if (!a.get("certificate").empty()) {
         const auto cert =
             lp::certificate_from_json(json::parse(deploy::read_file(a.get("certificate"))));
         rep.merge(analysis::certify_lp(f.model().lp(), cert));
-        if (exact) rep.merge(analysis::certify_lp_exact(f.model().lp(), cert).report);
+        // Each distinct certificate is proved once: the exact audit replay
+        // below re-proves its root certificate anyway.
+        if (exact && !(audit && audit_reproves_certificate(f.model(), *audit, cert))) {
+          rep.merge(analysis::certify_lp_exact(f.model().lp(), cert).report);
+        }
         // The root LP relaxation lower-bounds every deployment's BE energy.
         if (cert.status == lp::SolveStatus::kOptimal && be < cert.obj - 1e-6 * (1.0 + cert.obj)) {
           rep.add(analysis::Severity::kError, analysis::codes::kXcheckBeBelowOptimal,
                   "solution", "BE energy beats the certified LP lower bound");
         }
       }
-      if (!a.get("audit").empty()) {
-        const auto audit =
-            milp::audit_from_json(json::parse(deploy::read_file(a.get("audit"))));
+      if (audit) {
         analysis::CertifyBnbOptions co;
         co.formulation = &f;  // re-proves instance-tagged presolve reductions
-        rep.merge(analysis::certify_bnb(f.model(), audit, co));
+        rep.merge(analysis::certify_bnb(f.model(), *audit, co));
         if (exact) {
           analysis::CertifyBnbExactOptions bo;
           bo.formulation = &f;
-          rep.merge(analysis::certify_bnb_exact(f.model(), audit, bo).report);
+          rep.merge(analysis::certify_bnb_exact(f.model(), *audit, bo).report);
         }
         // Presolved audits record the objective in reduced space; the
         // original-space claim is obj + presolve_shift.
-        const double audit_obj = audit.obj + (audit.presolved ? audit.presolve_shift : 0.0);
-        if ((audit.status == milp::MipStatus::kOptimal ||
-             audit.status == milp::MipStatus::kFeasible) &&
+        const double audit_obj = audit->obj + (audit->presolved ? audit->presolve_shift : 0.0);
+        if ((audit->status == milp::MipStatus::kOptimal ||
+             audit->status == milp::MipStatus::kFeasible) &&
             std::abs(audit_obj - be) > 1e-6 * (1.0 + std::abs(audit_obj))) {
           rep.add(analysis::Severity::kError, analysis::codes::kBnbIncumbentMismatch,
                   "solution", "solution BE energy does not match the audited objective");
