@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/table.hpp"
 #include "deploy/evaluate.hpp"
 #include "heuristic/annealing.hpp"
@@ -40,7 +41,7 @@ int main() {
         sa.objective < deploy::evaluate_energy(*p, h.solution).max_proc()) {
       warm = &sa.solution;
     }
-    const auto opt = model::solve_optimal(*p, {}, mopt, warm);
+    const auto opt = analysis::solve_deployment(model::Formulation(*p), mopt, warm);
     if (!sa.feasible || !opt.mip.has_solution()) continue;
     const double eh = deploy::evaluate_energy(*p, h.solution).max_proc();
     const double es = sa.objective;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/table.hpp"
 #include "deploy/evaluate.hpp"
 #include "heuristic/phases.hpp"
@@ -49,9 +50,9 @@ int main() {
 
       milp::MipOptions mopt;
       mopt.time_limit_s = 10.0;
-      const auto single = model::solve_optimal(*p, {model::Objective::kBalanceEnergy, false},
-                                               mopt, h_fixed.feasible ? &h_fixed.solution
-                                                                      : nullptr);
+      const auto single = analysis::solve_deployment(
+          model::Formulation(*p, {model::Objective::kBalanceEnergy, false}), mopt,
+          h_fixed.feasible ? &h_fixed.solution : nullptr);
       const deploy::DeploymentSolution* warm_multi = nullptr;
       double warm_obj = std::numeric_limits<double>::infinity();
       if (h_multi.feasible) {
@@ -62,8 +63,8 @@ int main() {
           deploy::evaluate_energy(*p, single.solution).max_proc() < warm_obj) {
         warm_multi = &single.solution;
       }
-      const auto multi =
-          model::solve_optimal(*p, {model::Objective::kBalanceEnergy, true}, mopt, warm_multi);
+      const auto multi = analysis::solve_deployment(
+          model::Formulation(*p, {model::Objective::kBalanceEnergy, true}), mopt, warm_multi);
 
       const bool fm = multi.mip.has_solution();
       const bool fs = single.mip.has_solution();

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/table.hpp"
 #include "deploy/evaluate.hpp"
 #include "heuristic/annealing.hpp"
@@ -64,7 +65,7 @@ int main() {
       }
       milp::MipOptions mopt;
       mopt.time_limit_s = 10.0;
-      const auto opt = model::solve_optimal(*p, {}, mopt, warm);
+      const auto opt = analysis::solve_deployment(model::Formulation(*p), mopt, warm);
       if (!opt.mip.has_solution()) continue;
       ++solved;
       mu_sum += p->mu_index();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/table.hpp"
 #include "deploy/solution.hpp"
 #include "heuristic/phases.hpp"
@@ -48,7 +49,7 @@ int main() {
       if (!h.feasible) continue;
       milp::MipOptions mopt;
       mopt.time_limit_s = 10.0;
-      const auto opt = model::solve_optimal(*p, {}, mopt, &h.solution);
+      const auto opt = analysis::solve_deployment(model::Formulation(*p), mopt, &h.solution);
       if (!opt.mip.has_solution()) continue;
       ++solved;
       eps += p->vf().energy_gap_eps();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/table.hpp"
 #include "deploy/evaluate.hpp"
 #include "heuristic/phases.hpp"
@@ -43,8 +44,8 @@ int main() {
     if (!h.feasible) continue;
     milp::MipOptions mopt;
     mopt.time_limit_s = 10.0;
-    const auto be =
-        model::solve_optimal(*p, {model::Objective::kBalanceEnergy, true}, mopt, &h.solution);
+    const auto be = analysis::solve_deployment(
+        model::Formulation(*p, {model::Objective::kBalanceEnergy, true}), mopt, &h.solution);
     // ME gets the BE incumbent as an extra warm candidate: any BE-feasible
     // deployment is ME-feasible, and a good one speeds the min-sum search.
     const deploy::DeploymentSolution* warm_me = &h.solution;
@@ -53,8 +54,8 @@ int main() {
             deploy::evaluate_energy(*p, h.solution).total()) {
       warm_me = &be.solution;
     }
-    const auto me =
-        model::solve_optimal(*p, {model::Objective::kMinimizeEnergy, true}, mopt, warm_me);
+    const auto me = analysis::solve_deployment(
+        model::Formulation(*p, {model::Objective::kMinimizeEnergy, true}), mopt, warm_me);
     if (!be.mip.has_solution() || !me.mip.has_solution()) continue;
     const auto rep_be = deploy::evaluate_energy(*p, be.solution);
     const auto rep_me = deploy::evaluate_energy(*p, me.solution);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/stopwatch.hpp"
 #include "common/table.hpp"
 #include "deploy/evaluate.hpp"
@@ -41,7 +42,7 @@ int main() {
       if (!h.feasible) continue;
       milp::MipOptions mopt;
       mopt.time_limit_s = 30.0;
-      const auto opt = model::solve_optimal(*p, {}, mopt, &h.solution);
+      const auto opt = analysis::solve_deployment(model::Formulation(*p), mopt, &h.solution);
       if (!opt.mip.has_solution()) continue;
       ++solved;
       t_opt += opt.mip.seconds;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "heuristic/phases.hpp"
@@ -38,7 +39,7 @@ SeedOutcome run_seed(double alpha, int s) {
   if (h.feasible) return SeedOutcome::kBothFeasible;  // heuristic ⊂ MILP-feasible
   milp::MipOptions mopt;
   mopt.time_limit_s = 5.0;
-  const auto opt = model::solve_optimal(*p, {}, mopt);
+  const auto opt = analysis::solve_deployment(model::Formulation(*p), mopt);
   if (opt.mip.has_solution()) return SeedOutcome::kMilpOnly;
   if (opt.mip.status == milp::MipStatus::kUnknown) return SeedOutcome::kUnknown;
   return SeedOutcome::kInfeasible;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "analysis/presolve/instance_presolve.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
@@ -34,29 +34,13 @@ SolveOut solve_one(const Scale& base, std::uint64_t seed, double time_limit_s,
   const auto p = make_instance(sc);
   Stopwatch sw;
   const auto warm = heuristic::solve_heuristic(*p);
-  // Built by hand (instead of via model::solve_optimal) so the instance-level
-  // proof-carrying reductions can seed the solver's root presolve.
-  model::Formulation f(*p);
-  std::vector<double> warm_point;
+  const model::Formulation f(*p);
   milp::MipOptions mopt;
   mopt.time_limit_s = time_limit_s;
   mopt.num_threads = 1;
   mopt.presolve = presolve;
-  if (warm.feasible) {
-    warm_point = f.encode(warm.solution);
-    mopt.warm_start = &warm_point;
-  }
-  mopt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* out) {
-    return f.complete(lp_point, out);
-  };
-  analysis::InstancePresolveResult ipre;
-  if (presolve) {
-    analysis::InstancePresolveOptions iopt;
-    if (warm.feasible) iopt.warm = &warm_point;
-    ipre = analysis::instance_reductions(f, iopt);
-    mopt.instance_reductions = &ipre.log;
-  }
-  const milp::MipResult res = milp::solve(f.model(), mopt);
+  const milp::MipResult res =
+      analysis::solve_deployment(f, mopt, warm.feasible ? &warm.solution : nullptr).mip;
   SolveOut out;
   out.seconds = sw.seconds();
   out.status = res.status;

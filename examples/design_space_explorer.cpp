@@ -1,12 +1,13 @@
 // Design-space exploration: how do mesh size and horizon tightness (α)
 // trade off against deployment feasibility and balanced energy? Also shows
-// the exact-MILP API (solve_optimal) on the smallest configuration, warm
-// started by the heuristic.
+// the exact-MILP API (analysis::solve_deployment) on the smallest
+// configuration, warm started by the heuristic.
 //
 //   $ ./examples/design_space_explorer
 #include <cstdio>
 #include <vector>
 
+#include "analysis/solve_deployment.hpp"
 #include "common/prng.hpp"
 #include "deploy/evaluate.hpp"
 #include "deploy/problem.hpp"
@@ -67,7 +68,7 @@ int main() {
   }
   milp::MipOptions mopt;
   mopt.time_limit_s = 20.0;
-  const auto opt = model::solve_optimal(*p, {}, mopt, &h.solution);
+  const auto opt = analysis::solve_deployment(model::Formulation(*p), mopt, &h.solution);
   const double eh = deploy::evaluate_energy(*p, h.solution).max_proc();
   std::printf("  heuristic BE objective: %.4f J (%.0f us)\n", eh, h.seconds * 1e6);
   if (opt.mip.has_solution()) {

@@ -432,17 +432,4 @@ Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
   return rep;
 }
 
-Report certify_bnb_shards(const milp::Model& model,
-                          const std::vector<milp::AuditShard>& shards,
-                          milp::AuditLog skeleton, const CertifyBnbOptions& opt) {
-  if (!milp::merge_audit_shards(shards, &skeleton)) {
-    Report rep;
-    rep.add(Severity::kError, codes::kBnbStructure, "shards",
-            "shard node ids are not a contiguous 0..K-1 range — the parallel "
-            "recording is corrupt");
-    return rep;
-  }
-  return certify_bnb(model, skeleton, opt);
-}
-
 }  // namespace nd::analysis

@@ -49,15 +49,4 @@ struct CertifyBnbOptions {
 Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
                    const CertifyBnbOptions& opt = {});
 
-/// Merge the per-worker shards of a parallel search (milp::merge_audit_shards)
-/// into `skeleton` — an AuditLog carrying the root section, claimed outcome,
-/// and tolerances but no nodes — then replay the merged tree with certify_bnb.
-/// A failed merge (non-contiguous node ids) is reported as an error instead
-/// of being replayed: it means the recording is corrupt, and no interleaving
-/// of a correct run can produce it.
-Report certify_bnb_shards(const milp::Model& model,
-                          const std::vector<milp::AuditShard>& shards,
-                          milp::AuditLog skeleton,
-                          const CertifyBnbOptions& opt = {});
-
 }  // namespace nd::analysis

@@ -10,7 +10,7 @@
 #include "analysis/exact/certify_lp_exact.hpp"
 #include "analysis/exact/envelope.hpp"
 #include "analysis/exact/verify_deployment.hpp"
-#include "analysis/presolve/instance_presolve.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "common/prng.hpp"
 #include "deploy/evaluate.hpp"
 #include "deploy/problem.hpp"
@@ -104,40 +104,28 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
   check_deployment(p, h.solution, "heuristic", opt, rep);
   out.heuristic_be = deploy::evaluate_energy(p, h.solution).max_proc();
 
-  // --- MILP path, fully audited. Built by hand (instead of via
-  // model::solve_optimal) so the milp::Model stays available for the replay.
-  model::Formulation f(p);
-  const std::vector<double> warm_point = f.encode(h.solution);
+  // --- MILP path, fully audited, warm-started from the heuristic.
+  const model::Formulation f(p);
 
   // Model ↔ evaluator consistency on the heuristic's point: the encoded
   // point's objective must equal the evaluator's BE energy.
-  const double warm_obj = f.model().lp().objective_value(warm_point);
+  const double warm_obj = f.model().lp().objective_value(f.encode(h.solution));
   if (std::abs(warm_obj - out.heuristic_be) > opt.tol * (1.0 + std::abs(out.heuristic_be))) {
     rep.add(Severity::kError, codes::kXcheckEnergyMismatch, "heuristic",
             "model scores the heuristic point " + fmt(warm_obj) +
                 " J but the evaluator reports " + fmt(out.heuristic_be) + " J");
   }
 
-  // Instance-level proof-carrying presolve (dominance / symmetry fixings),
-  // warm-point-aware so the heuristic incumbent stays representable in the
-  // reduced space. Seeds the solver's root presolve when presolve is on.
-  InstancePresolveOptions iopt;
-  iopt.warm = &warm_point;
-  const InstancePresolveResult ipre = instance_reductions(f, iopt);
-  out.instance_fixings = ipre.dominance_fixings + ipre.twin_fixings + ipre.orbit_fixings;
-
   milp::AuditLog audit;
   milp::MipOptions mopt;
   mopt.time_limit_s = opt.milp_time_limit_s;
   mopt.num_threads = opt.num_threads;
   mopt.presolve = opt.presolve;
-  if (opt.presolve) mopt.instance_reductions = &ipre.log;
-  mopt.warm_start = &warm_point;
-  mopt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* cand) {
-    return f.complete(lp_point, cand);
-  };
   mopt.audit = &audit;
-  const milp::MipResult mip = milp::solve(f.model(), mopt);
+  const DeploymentSolveResult solved = solve_deployment(f, mopt, &h.solution);
+  const milp::MipResult& mip = solved.mip;
+  const InstancePresolveResult& ipre = solved.instance;
+  out.instance_fixings = ipre.dominance_fixings + ipre.twin_fixings + ipre.orbit_fixings;
   out.milp_status = mip.status;
   out.presolve_stats = mip.presolve_stats;
   out.milp_nodes = mip.nodes;
@@ -158,7 +146,7 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
                 fmt(mip.gap()));
   }
 
-  const deploy::DeploymentSolution milp_sol = f.decode(mip.x);
+  const deploy::DeploymentSolution& milp_sol = solved.solution;
   check_deployment(p, milp_sol, "milp", opt, rep);
 
   // Model ↔ evaluator consistency on the MILP's point.
@@ -230,8 +218,7 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
     milp::MipOptions m2 = mopt;
     m2.audit = nullptr;
     m2.presolve = false;
-    m2.instance_reductions = nullptr;
-    const milp::MipResult off = milp::solve(f.model(), m2);
+    const milp::MipResult off = solve_deployment(f, m2, &h.solution).mip;
     if (off.status != milp::MipStatus::kOptimal) {
       rep.add(Severity::kWarning, codes::kXcheckMilpNotOptimal, "milp/presolve-off",
               std::string("stopped '") + milp::to_string(off.status) +

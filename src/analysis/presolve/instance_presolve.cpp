@@ -804,51 +804,47 @@ InstancePresolveResult instance_reductions(const model::Formulation& f,
 
   // Twins first: the exchange map needs the y/x boxes still symmetric, which
   // later dominance fixings (emitted per-task in index order) can break.
-  if (opt.twins) {
-    for (int i = 0; i < f.num_tasks(); ++i) {
-      for (int j = i + 1; j < f.num_tasks(); ++j) {
-        const int zv = f.var_z(i, j);
-        if (zv < 0) continue;
-        if (opt.warm != nullptr && warm_val(zv) < 0.5) continue;  // keep warm reachable
-        Reduction rc;
-        rc.kind = ReductionKind::kFixVar;
-        rc.tag = ReductionTag::kTwin;
-        rc.var = zv;
-        rc.value = 1.0;
-        if (try_emit(rc)) ++res.twin_fixings;
-      }
+  for (int i = 0; i < f.num_tasks(); ++i) {
+    for (int j = i + 1; j < f.num_tasks(); ++j) {
+      const int zv = f.var_z(i, j);
+      if (zv < 0) continue;
+      if (opt.warm != nullptr && warm_val(zv) < 0.5) continue;  // keep warm reachable
+      Reduction rc;
+      rc.kind = ReductionKind::kFixVar;
+      rc.tag = ReductionTag::kTwin;
+      rc.var = zv;
+      rc.value = 1.0;
+      if (try_emit(rc)) ++res.twin_fixings;
     }
   }
 
   // V/F dominance: for every level still free, look for a weakly-better
   // witness level. First valid witness wins; the replay state keeps later
   // records honest about witness availability.
-  if (opt.dominance) {
-    for (int i = 0; i < f.num_total_tasks(); ++i) {
-      for (int l2 = 0; l2 < f.num_levels(); ++l2) {
-        const int yv = f.var_y(i, l2);
-        if (st.hi(yv) != 1.0 || st.lo(yv) != 0.0) continue;  // fp-exact
-        if (opt.warm != nullptr && warm_val(yv) > 0.5) continue;
-        for (int l1 = 0; l1 < f.num_levels(); ++l1) {
-          if (l1 == l2) continue;
-          // Ties fix the higher level index, so tied levels cannot fix each
-          // other both ways (the second attempt sees the witness box shrink
-          // only when the witness itself was fixed — which this ordering
-          // rule prevents).
-          const bool tie = f.wcec_time(i, l1) == f.wcec_time(i, l2) &&       // fp-exact
-                           f.wcec_energy(i, l1) == f.wcec_energy(i, l2) &&   // fp-exact
-                           f.reliability(i, l1) == f.reliability(i, l2);     // fp-exact
-          if (tie && l1 > l2) continue;
-          Reduction rc;
-          rc.kind = ReductionKind::kFixVar;
-          rc.tag = ReductionTag::kDominance;
-          rc.var = yv;
-          rc.aux = f.var_y(i, l1);
-          rc.value = 0.0;
-          if (try_emit(rc)) {
-            ++res.dominance_fixings;
-            break;
-          }
+  for (int i = 0; i < f.num_total_tasks(); ++i) {
+    for (int l2 = 0; l2 < f.num_levels(); ++l2) {
+      const int yv = f.var_y(i, l2);
+      if (st.hi(yv) != 1.0 || st.lo(yv) != 0.0) continue;  // fp-exact
+      if (opt.warm != nullptr && warm_val(yv) > 0.5) continue;
+      for (int l1 = 0; l1 < f.num_levels(); ++l1) {
+        if (l1 == l2) continue;
+        // Ties fix the higher level index, so tied levels cannot fix each
+        // other both ways (the second attempt sees the witness box shrink
+        // only when the witness itself was fixed — which this ordering
+        // rule prevents).
+        const bool tie = f.wcec_time(i, l1) == f.wcec_time(i, l2) &&       // fp-exact
+                         f.wcec_energy(i, l1) == f.wcec_energy(i, l2) &&   // fp-exact
+                         f.reliability(i, l1) == f.reliability(i, l2);     // fp-exact
+        if (tie && l1 > l2) continue;
+        Reduction rc;
+        rc.kind = ReductionKind::kFixVar;
+        rc.tag = ReductionTag::kDominance;
+        rc.var = yv;
+        rc.aux = f.var_y(i, l1);
+        rc.value = 0.0;
+        if (try_emit(rc)) {
+          ++res.dominance_fixings;
+          break;
         }
       }
     }
@@ -856,7 +852,7 @@ InstancePresolveResult instance_reductions(const model::Formulation& f,
 
   // Mesh orbits: restrict task 0's host to one representative (the minimum
   // index) per processor orbit of the verified automorphism group.
-  if (opt.orbits && f.num_total_tasks() > 0) {
+  if (f.num_total_tasks() > 0) {
     const std::vector<MeshAutomorphism> autos = mesh_automorphisms(f);
     res.automorphisms = static_cast<int>(autos.size()) - 1;
     if (autos.size() > 1) {

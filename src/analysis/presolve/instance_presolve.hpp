@@ -60,9 +60,6 @@ std::string check_instance_record(const model::Formulation& f, const lp::Reducti
                                   const lp::Reduction& rc);
 
 struct InstancePresolveOptions {
-  bool dominance = true;
-  bool twins = true;
-  bool orbits = true;
   /// Optional warm-start point in model space: symmetry fixings that would
   /// cut it off are skipped. Skipping a fixing is always sound; keeping the
   /// warm point reachable preserves its incumbent value for the solver.

@@ -42,7 +42,7 @@ class Annealer {
 
   AnnealResult run() {
     Stopwatch clock;
-    const obs::Span run_span("anneal.run", opt_.telemetry);
+    const obs::Span run_span("anneal.run");
     AnnealResult res;
 
     State s = initial_state();
@@ -88,11 +88,9 @@ class Annealer {
       res.feasible = feas;
     }
     res.seconds = clock.seconds();
-    if (opt_.telemetry) {
-      ND_OBS_COUNT("anneal.proposed", opt_.iterations);
-      ND_OBS_COUNT("anneal.accepted", res.accepted_moves);
-      ND_OBS_COUNT("anneal.repair_failures", repair_failures_);
-    }
+    ND_OBS_COUNT("anneal.proposed", opt_.iterations);
+    ND_OBS_COUNT("anneal.accepted", res.accepted_moves);
+    ND_OBS_COUNT("anneal.repair_failures", repair_failures_);
     return res;
   }
 

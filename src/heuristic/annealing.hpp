@@ -23,10 +23,6 @@ struct AnnealOptions {
   double cooling = 0.9995;          ///< geometric factor per iteration
   double infeasibility_weight = 4.0;  ///< penalty scale for horizon overshoot
   std::uint64_t seed = 1;
-  /// Emit a run span plus proposal/acceptance/repair counters into the obs
-  /// telemetry layer. Only observable while an obs session is collecting, and
-  /// free when NOCDEPLOY_OBS is compiled out.
-  bool telemetry = true;
 };
 
 struct AnnealResult {

@@ -267,13 +267,13 @@ bool phase3_path_selection(const deploy::DeploymentProblem& p, deploy::Deploymen
 
 HeuristicResult solve_heuristic(const deploy::DeploymentProblem& p, const HeuristicOptions& opt) {
   Stopwatch clock;
-  const obs::Span solve_span("heur.solve", opt.telemetry, /*hist=*/true);
+  const obs::Span solve_span("heur.solve", /*armed=*/true, /*hist=*/true);
   HeuristicResult res;
   res.solution = deploy::DeploymentSolution::empty(p);
   std::string why;
   bool ok;
   {
-    const obs::Span span("heur.phase1", opt.telemetry, /*hist=*/true);
+    const obs::Span span("heur.phase1", /*armed=*/true, /*hist=*/true);
     ok = phase1_frequency_and_duplication(p, res.solution, &why);
   }
   if (!ok) {
@@ -282,7 +282,7 @@ HeuristicResult solve_heuristic(const deploy::DeploymentProblem& p, const Heuris
     return res;
   }
   {
-    const obs::Span span("heur.phase2", opt.telemetry, /*hist=*/true);
+    const obs::Span span("heur.phase2", /*armed=*/true, /*hist=*/true);
     ok = phase2_allocation_and_scheduling(p, res.solution, opt.phase2, &why);
   }
   if (!ok) {
@@ -291,7 +291,7 @@ HeuristicResult solve_heuristic(const deploy::DeploymentProblem& p, const Heuris
     return res;
   }
   {
-    const obs::Span span("heur.phase3", opt.telemetry, /*hist=*/true);
+    const obs::Span span("heur.phase3", /*armed=*/true, /*hist=*/true);
     if (opt.select_paths) {
       ok = phase3_path_selection(p, res.solution, &why);
     } else {

@@ -29,10 +29,6 @@ struct HeuristicOptions {
   /// Algorithm 3 greedy path choice; false freezes every pair to path 0
   /// (ablation / single-path baseline).
   bool select_paths = true;
-  /// Emit per-phase spans and counters into the obs telemetry layer. Only
-  /// observable while an obs session is collecting, and free when
-  /// NOCDEPLOY_OBS is compiled out.
-  bool telemetry = true;
 };
 
 struct HeuristicResult {

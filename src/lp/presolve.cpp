@@ -492,89 +492,6 @@ Certificate trivial_certificate(const Problem& reduced, bool* feasible) {
   return cert;
 }
 
-Certificate lift_certificate(const PresolvedLp& map, const Problem& orig,
-                             const Certificate& rc) {
-  const int n = orig.num_vars();
-  const int m = orig.num_rows();
-  const int nr = map.reduced.num_vars();
-  const int mr = map.reduced.num_rows();
-  Certificate out;
-  out.status = rc.status;
-  if (rc.status == SolveStatus::kInfeasible) {
-    if (!rc.farkas.empty()) {
-      out.farkas.assign(static_cast<std::size_t>(m), 0.0);
-      for (int rr = 0; rr < mr; ++rr) {
-        out.farkas[static_cast<std::size_t>(map.orig_of_row[static_cast<std::size_t>(rr)])] =
-            rc.farkas[static_cast<std::size_t>(rr)];
-      }
-    }
-    return out;
-  }
-  if (rc.status != SolveStatus::kOptimal ||
-      rc.x.size() != static_cast<std::size_t>(nr) ||
-      rc.y.size() != static_cast<std::size_t>(mr) ||
-      rc.basis.size() != static_cast<std::size_t>(mr)) {
-    return out;
-  }
-
-  out.obj = rc.obj + map.obj_shift;
-  out.x = lift_point(map, rc.x);
-  out.y.assign(static_cast<std::size_t>(m), 0.0);
-  for (int rr = 0; rr < mr; ++rr) {
-    out.y[static_cast<std::size_t>(map.orig_of_row[static_cast<std::size_t>(rr)])] =
-        rc.y[static_cast<std::size_t>(rr)];
-  }
-  // Reduced costs against the ORIGINAL data: kept columns carry over (dropped
-  // rows have zero duals, and the safe log never rewrites coefficients);
-  // eliminated columns get d_j = c_j − Σ_r y_r a_rj recomputed from scratch.
-  out.d.assign(static_cast<std::size_t>(n), 0.0);
-  out.vstat.assign(static_cast<std::size_t>(n), VarStatus::kAtLower);
-  for (int j = 0; j < n; ++j) {
-    const std::size_t ju = static_cast<std::size_t>(j);
-    const int rj = map.red_of_var[ju];
-    if (rj >= 0) {
-      out.d[ju] = rc.d[static_cast<std::size_t>(rj)];
-      out.vstat[ju] = rc.vstat[static_cast<std::size_t>(rj)];
-    }
-  }
-  for (int j = 0; j < n; ++j) {
-    const std::size_t ju = static_cast<std::size_t>(j);
-    if (map.red_of_var[ju] >= 0) continue;
-    double d = orig.obj(j);
-    for (int r = 0; r < m; ++r) {
-      const double yr = out.y[static_cast<std::size_t>(r)];
-      if (yr == 0.0) continue;  // fp-exact: sparsity skip
-      for (const auto& [cj, a] : orig.row(r).coef) {
-        if (cj == j) d -= yr * a;
-      }
-    }
-    out.d[ju] = d;
-    // The pinned box [v, v] makes both statuses dual-feasible; pick the one
-    // matching the sign convention the checker enforces.
-    out.vstat[ju] = d >= 0.0 ? VarStatus::kAtLower : VarStatus::kAtUpper;
-  }
-  // Basis: kept rows remap their reduced basic column; dropped rows become
-  // basic in their own slack (feasible because the row is satisfied at x̂).
-  out.basis.assign(static_cast<std::size_t>(m), -1);
-  for (int r = 0; r < m; ++r) {
-    const std::size_t ru = static_cast<std::size_t>(r);
-    const int rr = map.red_of_row[ru];
-    if (rr < 0) {
-      out.basis[ru] = n + r;
-      continue;
-    }
-    const int b = rc.basis[static_cast<std::size_t>(rr)];
-    if (b < nr) {
-      out.basis[ru] = map.orig_of_var[static_cast<std::size_t>(b)];
-    } else if (b < nr + mr) {
-      out.basis[ru] = n + map.orig_of_row[static_cast<std::size_t>(b - nr)];
-    } else {
-      out.basis[ru] = n + m + map.orig_of_row[static_cast<std::size_t>(b - nr - mr)];
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Pass engine: activity-based reductions to a fixpoint.
 // ---------------------------------------------------------------------------
@@ -722,7 +639,8 @@ bool tighten_coef_le(State& st, ReductionLog& log, int row_idx, const WorkRow& w
 }  // namespace
 
 int presolve_model_passes(const Problem& p, const std::vector<char>& integer,
-                          ReductionLog& log, const PresolveOptions& opt) {
+                          ReductionLog& log) {
+  constexpr int kMaxRounds = 10;
   const int n = p.num_vars();
   State st(p);
   for (const Reduction& rc : log.reductions) {
@@ -753,7 +671,7 @@ int presolve_model_passes(const Problem& p, const std::vector<char>& integer,
 
   int round = 0;
   bool changed = true;
-  while (changed && round < opt.max_rounds && !st.infeasible) {
+  while (changed && round < kMaxRounds && !st.infeasible) {
     changed = false;
     ++round;
     for (int r = 0; r < p.num_rows() && !st.infeasible; ++r) {
@@ -765,7 +683,7 @@ int presolve_model_passes(const Problem& p, const std::vector<char>& integer,
         const RowActivity act = activity(st, w);
         const double margin = row_margin(act, w.rhs);
         // Redundancy: the row can never bind over the current box.
-        if (opt.drop_redundant_rows && !w.coef.empty()) {
+        if (!w.coef.empty()) {
           const bool redundant =
               (w.sense == Sense::LE && act.max_finite && act.maxact + margin <= w.rhs) ||
               (w.sense == Sense::GE && act.min_finite && act.minact - margin >= w.rhs);
@@ -780,37 +698,35 @@ int presolve_model_passes(const Problem& p, const std::vector<char>& integer,
             break;
           }
         }
-        if (opt.bound_propagation) {
-          for (const auto& [j, c] : w.coef) {
-            bool emitted = false;
-            if (w.sense == Sense::LE || w.sense == Sense::EQ) {
-              emitted = propagate_le(st, log, act, w.rhs, j, c, is_int(j));
+        for (const auto& [j, c] : w.coef) {
+          bool emitted = false;
+          if (w.sense == Sense::LE || w.sense == Sense::EQ) {
+            emitted = propagate_le(st, log, act, w.rhs, j, c, is_int(j));
+          }
+          if (!emitted && (w.sense == Sense::GE || w.sense == Sense::EQ)) {
+            // aᵀx ≥ b  ⟺  (−a)ᵀx ≤ −b: reuse the ≤ machinery on the
+            // negated entry with negated activities.
+            RowActivity neg;
+            neg.minact = -act.maxact;
+            neg.maxact = -act.minact;
+            neg.min_finite = act.max_finite;
+            neg.max_finite = act.min_finite;
+            neg.absacc = act.absacc;
+            neg.len = act.len;
+            emitted = propagate_le(st, log, neg, -w.rhs, j, -c, is_int(j));
+          }
+          if (emitted) {
+            Reduction& rc = log.reductions.back();
+            rc.row = r;
+            if (!st.apply(rc)) {
+              row_changed = false;
+              break;
             }
-            if (!emitted && (w.sense == Sense::GE || w.sense == Sense::EQ)) {
-              // aᵀx ≥ b  ⟺  (−a)ᵀx ≤ −b: reuse the ≤ machinery on the
-              // negated entry with negated activities.
-              RowActivity neg;
-              neg.minact = -act.maxact;
-              neg.maxact = -act.minact;
-              neg.min_finite = act.max_finite;
-              neg.max_finite = act.min_finite;
-              neg.absacc = act.absacc;
-              neg.len = act.len;
-              emitted = propagate_le(st, log, neg, -w.rhs, j, -c, is_int(j));
-            }
-            if (emitted) {
-              Reduction& rc = log.reductions.back();
-              rc.row = r;
-              if (!st.apply(rc)) {
-                row_changed = false;
-                break;
-              }
-              changed = row_changed = true;
-              break;  // activities are stale; recompute before continuing
-            }
+            changed = row_changed = true;
+            break;  // activities are stale; recompute before continuing
           }
         }
-        if (!row_changed && opt.coef_tightening && w.sense == Sense::LE) {
+        if (!row_changed && w.sense == Sense::LE) {
           for (const auto& [j, c] : w.coef) {
             if (!is_binary(j)) continue;
             if (tighten_coef_le(st, log, r, w, activity(st, w), j, c)) {
@@ -822,7 +738,7 @@ int presolve_model_passes(const Problem& p, const std::vector<char>& integer,
       }
     }
     // Empty columns: fix at the objective-preferred finite bound.
-    if (opt.fix_empty_columns && !st.infeasible) {
+    if (!st.infeasible) {
       std::vector<char> live(static_cast<std::size_t>(n), 0);
       for (const WorkRow& w : st.rows) {
         if (w.dropped) continue;
@@ -907,15 +823,6 @@ Row ReductionReplay::row(int r) const {
   out.sense = w.sense;
   out.rhs = w.rhs;
   return out;
-}
-
-ReductionLog presolve_lp_safe(const Problem& p) {
-  ReductionLog log;
-  PresolveOptions opt;
-  opt.bound_propagation = false;
-  opt.coef_tightening = false;
-  (void)presolve_model_passes(p, {}, log, opt);
-  return log;
 }
 
 }  // namespace nd::lp

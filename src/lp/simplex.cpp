@@ -4,7 +4,6 @@
 #include "lp/simplex.hpp"
 
 #include "lp/certificate.hpp"
-#include "lp/presolve.hpp"
 #include "obs/obs.hpp"
 
 namespace nd::lp {
@@ -21,8 +20,8 @@ const char* to_string(SolveStatus s) {
 
 namespace {
 
-/// One engine, one cold solve of `p` as given (no presolve). When `cert` is
-/// set it receives the engine's certificate for that solve.
+/// One engine, one cold solve of `p` as given. When `cert` is set it
+/// receives the engine's certificate for that solve.
 LpResult solve_direct(const Problem& p, const Simplex::Options& opt, Certificate* cert) {
   Simplex engine(p, opt);
   LpResult res;
@@ -37,57 +36,16 @@ LpResult solve_direct(const Problem& p, const Simplex::Options& opt, Certificate
   return res;
 }
 
-/// Certificate-safe presolve (lp/presolve.hpp), a direct solve of the
-/// reduced problem, and the lift back to the original space. The
-/// certificate is built and lifted only when `certify` is set.
-CertifiedLpResult solve_presolved(const Problem& p, const Simplex::Options& opt,
-                                  bool certify) {
-  CertifiedLpResult out;
-  const ReductionLog log = presolve_lp_safe(p);
-  if (log.reductions.empty()) {
-    out.result = solve_direct(p, opt, certify ? &out.cert : nullptr);
-    return out;
-  }
-  PresolvedLp map = apply_reductions(p, log);
-  if (map.infeasible) {
-    // A contradiction among pinned columns (e.g. an equality row whose
-    // variables are all fixed to an unsatisfiable residual). There is no
-    // Farkas ray to lift; callers see kInfeasible with an empty ray.
-    out.result.status = SolveStatus::kInfeasible;
-    out.cert.status = SolveStatus::kInfeasible;
-    return out;
-  }
-  if (map.reduced.num_vars() == 0) {
-    // Every column pinned: the point is fully determined by the log.
-    bool feasible = true;
-    const Certificate reduced_cert = trivial_certificate(map.reduced, &feasible);
-    out.result.status = feasible ? SolveStatus::kOptimal : SolveStatus::kInfeasible;
-    if (feasible) {
-      out.result.obj = map.obj_shift;
-      out.result.x = lift_point(map, {});
-    }
-    if (certify) out.cert = lift_certificate(map, p, reduced_cert);
-    return out;
-  }
-  out.result = solve_direct(map.reduced, opt, certify ? &out.cert : nullptr);
-  if (out.result.status == SolveStatus::kOptimal) {
-    out.result.obj += map.obj_shift;
-    out.result.x = lift_point(map, out.result.x);
-  } else {
-    out.result.x.clear();
-  }
-  if (certify) out.cert = lift_certificate(map, p, out.cert);
-  return out;
-}
-
 }  // namespace
 
 LpResult solve_lp(const Problem& p, Simplex::Options opt) {
-  return solve_presolved(p, opt, /*certify=*/false).result;
+  return solve_direct(p, opt, nullptr);
 }
 
 CertifiedLpResult solve_lp_certified(const Problem& p, Simplex::Options opt) {
-  return solve_presolved(p, opt, /*certify=*/true);
+  CertifiedLpResult out;
+  out.result = solve_direct(p, opt, &out.cert);
+  return out;
 }
 
 void emit_lp_counters(const Simplex& engine) {

@@ -157,8 +157,8 @@ class Simplex {
   std::unique_ptr<detail::RevisedEngine> impl_;
 };
 
-/// One-shot convenience: presolve (lp/presolve.hpp), build an engine, solve
-/// the reduced problem and lift the point back; returns (status, obj, x).
+/// One-shot convenience: build one engine on `p` as given and solve it cold;
+/// returns (status, obj, x).
 struct LpResult {
   SolveStatus status = SolveStatus::kIterLimit;
   double obj = 0.0;

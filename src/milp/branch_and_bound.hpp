@@ -69,7 +69,8 @@ struct MipOptions {
   /// Optional instance-level reductions (dominance / symmetry fixings from
   /// analysis/presolve) to prepend to the root presolve. Must be proved
   /// against THIS model; borrowed pointer, not owned. Ignored when
-  /// `presolve` is false.
+  /// `presolve` is false. For the deployment MILP,
+  /// analysis::solve_deployment is the one place that sets it.
   const lp::ReductionLog* instance_reductions = nullptr;
   /// Emit counters/spans into the obs telemetry layer (node dispositions,
   /// queue depth, donations, cold vs warm re-solves, the incumbent timeline,

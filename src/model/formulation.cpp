@@ -725,20 +725,4 @@ bool Formulation::complete(const std::vector<double>& lp_point,
   return true;
 }
 
-OptimalResult solve_optimal(const deploy::DeploymentProblem& problem, FormulationOptions fopt,
-                            milp::MipOptions mopt, const deploy::DeploymentSolution* warm) {
-  Formulation f(problem, fopt);
-  std::vector<double> warm_point;
-  if (warm != nullptr) {
-    warm_point = f.encode(*warm);
-    mopt.warm_start = &warm_point;
-  }
-  mopt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* out) {
-    return f.complete(lp_point, out);
-  };
-  OptimalResult res{milp::solve(f.model(), mopt), deploy::DeploymentSolution{}};
-  if (res.mip.has_solution()) res.solution = f.decode(res.mip.x);
-  return res;
-}
-
 }  // namespace nd::model

@@ -36,7 +36,6 @@
 
 #include "deploy/problem.hpp"
 #include "deploy/solution.hpp"
-#include "milp/branch_and_bound.hpp"
 #include "milp/model.hpp"
 
 namespace nd::model {
@@ -170,15 +169,5 @@ class Formulation {
 
   [[nodiscard]] std::size_t pair_index(int i, int j) const;  // unordered i<j
 };
-
-/// Solve the deployment problem to (attempted) optimality. `warm` is encoded
-/// and passed to branch-and-bound when provided.
-struct OptimalResult {
-  milp::MipResult mip;
-  deploy::DeploymentSolution solution;  ///< valid when mip.has_solution()
-};
-OptimalResult solve_optimal(const deploy::DeploymentProblem& problem,
-                            FormulationOptions fopt = {}, milp::MipOptions mopt = {},
-                            const deploy::DeploymentSolution* warm = nullptr);
 
 }  // namespace nd::model

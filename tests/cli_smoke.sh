@@ -117,6 +117,22 @@ if "$CLI" profile --tasks 5 --rows 2 --cols 2 --iters 500 --time-limit 10 \
 fi
 grep -q "cannot write trace file" "$DIR/trace_err.txt"
 
+# profile profiles what solve runs: on a uniform mesh (where the instance
+# passes fix a symmetric host) both search the same tree, so their MILP node
+# counts are equal (one thread, so the counts are deterministic).
+"$CLI" gen --tasks 3 --rows 2 --cols 2 --alpha 2.0 --seed 4 -o "$DIR/sym.json"
+sed 's/"variation": *[-+0-9.eE]*/"variation": 0/' "$DIR/sym.json" > "$DIR/sym_uniform.json"
+grep -q '"variation": 0,' "$DIR/sym_uniform.json"
+solve_nodes="$("$CLI" solve --problem "$DIR/sym_uniform.json" --method optimal \
+  | sed -n 's/^MILP status: [a-z]*, nodes \([0-9]*\),.*/\1/p')"
+profile_nodes="$("$CLI" profile --problem "$DIR/sym_uniform.json" --iters 500 --trials 100 \
+  --time-limit 60 | sed -n 's/^profile: MILP .*, \([0-9]*\) nodes,.*/\1/p')"
+test -n "$solve_nodes"
+if [ "$solve_nodes" != "$profile_nodes" ]; then
+  echo "expected profile ($profile_nodes nodes) to search solve's tree ($solve_nodes nodes)" >&2
+  exit 1
+fi
+
 # Regression observatory: a tiny sweep writes a schema /4 document and
 # appends one JSONL line to the trajectory file per run.
 "$CLI" sweep --seeds 2 --tasks 3 --rows 2 --cols 2 --time-limit 10 \

@@ -27,7 +27,7 @@
 #include "analysis/exact/rat.hpp"
 #include "analysis/exact/rat_lu.hpp"
 #include "analysis/exact/verify_deployment.hpp"
-#include "analysis/presolve/instance_presolve.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "bench_common.hpp"
 #include "common/json.hpp"
 #include "common/prng.hpp"
@@ -1049,23 +1049,12 @@ void expect_sweep_instance_match(std::uint64_t seed, int threads) {
   const auto problem = nd::bench::make_instance(sc);
   const nd::model::Formulation f(*problem);
   const auto warm = nd::heuristic::solve_heuristic(*problem);
-  std::vector<double> warm_point;
-  nd::analysis::InstancePresolveOptions iopt;
   AuditLog audit;
   nd::milp::MipOptions mopt;
   mopt.num_threads = threads;
   mopt.audit = &audit;
-  if (warm.feasible) {
-    warm_point = f.encode(warm.solution);
-    mopt.warm_start = &warm_point;
-    iopt.warm = &warm_point;
-  }
-  mopt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* out) {
-    return f.complete(lp_point, out);
-  };
-  const auto ipre = nd::analysis::instance_reductions(f, iopt);
-  mopt.instance_reductions = &ipre.log;
-  const auto res = nd::milp::solve(f.model(), mopt);
+  const auto res =
+      nd::analysis::solve_deployment(f, mopt, warm.feasible ? &warm.solution : nullptr).mip;
   ASSERT_EQ(res.status, nd::milp::MipStatus::kOptimal) << what;
   ASSERT_TRUE(audit.presolved) << what;
   EXPECT_GT(lp_backed_nodes(audit), 0) << what;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "analysis/solve_deployment.hpp"
 #include "deploy/evaluate.hpp"
 #include "deploy/validate.hpp"
 #include "heuristic/annealing.hpp"
@@ -13,11 +14,11 @@
 
 namespace {
 
+using nd::analysis::solve_deployment;
 using nd::deploy::DeploymentSolution;
 using nd::model::Formulation;
 using nd::model::FormulationOptions;
 using nd::model::Objective;
-using nd::model::solve_optimal;
 using nd::test::tiny_problem;
 using nd::test::TinySpec;
 
@@ -114,7 +115,7 @@ TEST(Optimal, SolutionValidatesAndBeatsHeuristic) {
   auto p = tiny_problem(spec);
   const auto h = heuristic::solve_heuristic(*p);
   ASSERT_TRUE(h.feasible) << h.why;
-  const auto opt = solve_optimal(*p, {}, quick_opts(), &h.solution);
+  const auto opt = solve_deployment(Formulation(*p), quick_opts(), &h.solution);
   ASSERT_TRUE(opt.mip.has_solution()) << to_string(opt.mip.status);
   const auto val = deploy::validate(*p, opt.solution);
   EXPECT_TRUE(val.ok()) << val.summary();
@@ -140,7 +141,7 @@ TEST(Optimal, MatchesExhaustiveCheckOnTwoTaskChain) {
   mesh.variation = 0.0;
   deploy::DeploymentProblem p(std::move(g), mesh, dvfs::VfTable::typical6(),
                               reliability::FaultParams{1e-9, 1.0}, 0.9, 100.0);
-  const auto opt = solve_optimal(p, {}, quick_opts());
+  const auto opt = solve_deployment(Formulation(p), quick_opts());
   ASSERT_EQ(opt.mip.status, milp::MipStatus::kOptimal);
   EXPECT_NE(opt.solution.proc[0], opt.solution.proc[1]) << "BE should split the chain";
   const auto val = deploy::validate(p, opt.solution);
@@ -162,7 +163,7 @@ TEST(Optimal, CommDominatedChainColocates) {
   mesh.variation = 0.0;
   deploy::DeploymentProblem p(std::move(g), mesh, dvfs::VfTable::typical6(),
                               reliability::FaultParams{1e-9, 1.0}, 0.9, 1000.0);
-  const auto opt = solve_optimal(p, {}, quick_opts());
+  const auto opt = solve_deployment(Formulation(p), quick_opts());
   ASSERT_EQ(opt.mip.status, milp::MipStatus::kOptimal);
   EXPECT_EQ(opt.solution.proc[0], opt.solution.proc[1])
       << "with huge payloads the chain must co-locate";
@@ -176,10 +177,10 @@ TEST(Optimal, MultiPathNeverWorseThanSinglePath) {
     auto p = tiny_problem(spec);
     const auto h = heuristic::solve_heuristic(*p);
     const auto* warm = h.feasible ? &h.solution : nullptr;
-    const auto multi =
-        solve_optimal(*p, {Objective::kBalanceEnergy, true}, quick_opts(15.0), warm);
+    const auto multi = solve_deployment(Formulation(*p, {Objective::kBalanceEnergy, true}),
+                                        quick_opts(15.0), warm);
     const auto single =
-        solve_optimal(*p, {Objective::kBalanceEnergy, false}, quick_opts(15.0));
+        solve_deployment(Formulation(*p, {Objective::kBalanceEnergy, false}), quick_opts(15.0));
     if (multi.mip.status == milp::MipStatus::kOptimal &&
         single.mip.status == milp::MipStatus::kOptimal) {
       EXPECT_LE(multi.mip.obj, single.mip.obj + 1e-9) << "seed " << seed;
@@ -194,8 +195,10 @@ TEST(Optimal, MinimizeEnergyTotalBelowBalance) {
   auto p = tiny_problem(spec);
   const auto h = heuristic::solve_heuristic(*p);
   const auto* warm = h.feasible ? &h.solution : nullptr;
-  const auto be = solve_optimal(*p, {Objective::kBalanceEnergy, true}, quick_opts(), warm);
-  const auto me = solve_optimal(*p, {Objective::kMinimizeEnergy, true}, quick_opts(), warm);
+  const auto be =
+      solve_deployment(Formulation(*p, {Objective::kBalanceEnergy, true}), quick_opts(), warm);
+  const auto me =
+      solve_deployment(Formulation(*p, {Objective::kMinimizeEnergy, true}), quick_opts(), warm);
   ASSERT_TRUE(be.mip.has_solution());
   ASSERT_TRUE(me.mip.has_solution());
   const double total_be = deploy::evaluate_energy(*p, be.solution).total();
@@ -230,8 +233,8 @@ TEST(Formulation, SinglePathModeDecodesAllZeroPaths) {
   // Re-route the warm start onto path 0 everywhere for the single-path model.
   deploy::DeploymentSolution fixed = h.solution;
   std::fill(fixed.path_choice.begin(), fixed.path_choice.end(), 0);
-  const auto opt = solve_optimal(*p, {Objective::kBalanceEnergy, false}, quick_opts(10.0),
-                                 nullptr);
+  const auto opt = solve_deployment(Formulation(*p, {Objective::kBalanceEnergy, false}),
+                                    quick_opts(10.0), nullptr);
   if (!opt.mip.has_solution()) {
     SUCCEED() << "time-limited";
     return;
@@ -244,7 +247,7 @@ TEST(Optimal, InfeasibleHorizonDetected) {
   spec.num_tasks = 3;
   spec.alpha = 0.01;
   auto p = tiny_problem(spec);
-  const auto opt = solve_optimal(*p, {}, quick_opts());
+  const auto opt = solve_deployment(Formulation(*p), quick_opts());
   EXPECT_EQ(opt.mip.status, milp::MipStatus::kInfeasible);
 }
 
@@ -256,7 +259,7 @@ TEST(Optimal, DuplicationForcedWhenReliabilityLow) {
   auto p = tiny_problem(spec);
   const auto h = heuristic::solve_heuristic(*p);
   const auto* warm = h.feasible ? &h.solution : nullptr;
-  const auto opt = solve_optimal(*p, {}, quick_opts(), warm);
+  const auto opt = solve_deployment(Formulation(*p), quick_opts(), warm);
   ASSERT_TRUE(opt.mip.has_solution());
   const auto val = deploy::validate(*p, opt.solution);
   EXPECT_TRUE(val.ok()) << val.summary();

@@ -1,6 +1,6 @@
 // Tests for the work-sharing branch-and-bound (milp/branch_and_bound.cpp)
 // at one and more threads, and the audit-shard merge
-// (milp::merge_audit_shards, analysis::certify_bnb_shards).
+// (milp::merge_audit_shards) followed by the replay (analysis::certify_bnb).
 //
 // The determinism contract under test: for every thread count the solver
 // proves the SAME optimal objective, and every audit log it emits — whatever
@@ -27,7 +27,6 @@
 
 namespace {
 
-namespace codes = nd::analysis::codes;
 using nd::analysis::Report;
 using nd::lp::Sense;
 using nd::milp::AuditLog;
@@ -398,13 +397,12 @@ TEST(AuditShards, MergeRejectsNonContiguousIds) {
 TEST(AuditShards, CertifyShardsReportsCorruptRecording) {
   using nd::milp::AuditNode;
   using nd::milp::AuditShard;
-  const Model m = staircase_model();
   AuditNode n0, n0dup;
   n0.id = 0;
   n0dup.id = 0;  // duplicate id
-  const Report rep = nd::analysis::certify_bnb_shards(
-      m, {AuditShard{{n0}}, AuditShard{{n0dup}}}, AuditLog{});
-  EXPECT_GE(rep.count_code(codes::kBnbStructure), 1) << rep.to_table();
+  AuditLog log;
+  EXPECT_FALSE(nd::milp::merge_audit_shards({AuditShard{{n0}}, AuditShard{{n0dup}}}, &log));
+  EXPECT_TRUE(log.nodes.empty());
 }
 
 TEST(AuditShards, CertifyShardsAcceptsRealisticSplit) {
@@ -419,8 +417,8 @@ TEST(AuditShards, CertifyShardsAcceptsRealisticSplit) {
   }
   AuditLog skeleton = ref.audit;
   skeleton.nodes.clear();
-  const Report rep =
-      nd::analysis::certify_bnb_shards(m, {even, odd}, std::move(skeleton));
+  ASSERT_TRUE(nd::milp::merge_audit_shards({even, odd}, &skeleton));
+  const Report rep = nd::analysis::certify_bnb(m, skeleton);
   EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Banned-pattern lint over src/, tests/ and tools/.
+# Banned-pattern lint over src/, tests/ and tools/ (class 10 also bench/).
 #
-# Nine pattern classes, each with a rationale:
+# Ten pattern classes, each with a rationale:
 #   1. rand()/std::rand — all randomness must flow through common/prng.hpp so
 #      every instance, mesh and heuristic run is reproducible from a seed.
 #   2. floating-point ==/!= against a float literal — almost always a
@@ -38,6 +38,12 @@
 #      flight recorder), never by writing to the terminal; printing is the
 #      CLI's and the benches' job. snprintf into a buffer is not output and
 #      passes.
+#  10. pointing MipOptions::instance_reductions at a log (`instance_reductions
+#      = &`) anywhere but src/analysis/solve_deployment.cpp — every deployment
+#      MILP solve goes through analysis::solve_deployment, which seeds the
+#      root presolve with the warm-aware instance passes; a hand-built copy
+#      drifts from it (a different warm point, a missing completion hook) and
+#      searches a different tree. Clearing the field (`= nullptr`) passes.
 #
 # Exit 0 when clean, 1 with one "file:line: message" per hit otherwise.
 # Run from anywhere: paths resolve relative to the repo root. POSIX sh only —
@@ -122,6 +128,12 @@ hits="$(printf '%s\n' "$solver_files" | xargs grep -nE \
   '(^|[^_[:alnum:]])(std::)?(f|v|vf)?printf[[:space:]]*\(|(^|[^_[:alnum:]])(std::)?puts[[:space:]]*\(|std::(cout|cerr|clog)' \
   /dev/null)" || true
 report_hits "$hits" "terminal output in a solver layer; report through obs (counters, spans, ND_OBS_LOG)"
+
+# --- 10. hand-built deployment solves -----------------------------------------
+hits="$(find src tests tools bench -name '*.cpp' -o -name '*.hpp' | sort \
+  | grep -vx 'src/analysis/solve_deployment.cpp' \
+  | xargs grep -nE 'instance_reductions[[:space:]]*=[[:space:]]*&' /dev/null)" || true
+report_hits "$hits" "instance_reductions seeded by hand; solve through analysis::solve_deployment"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint_banned_patterns: clean"

@@ -66,6 +66,7 @@
 #include "analysis/lint_problem.hpp"
 #include "analysis/presolve/certify_presolve.hpp"
 #include "analysis/presolve/instance_presolve.hpp"
+#include "analysis/solve_deployment.hpp"
 #include "deploy/evaluate.hpp"
 #include "deploy/export.hpp"
 #include "deploy/serialize.hpp"
@@ -214,33 +215,19 @@ int cmd_solve(const Args& a) {
   }
   if (method == "optimal") {
     const auto warm = heuristic::solve_heuristic(*p);
-    // Built by hand (instead of via model::solve_optimal) so the instance-
-    // level proof-carrying reductions can seed the solver's root presolve.
     const model::Formulation f(*p);
-    std::vector<double> warm_point;
     milp::MipOptions mopt;
     mopt.time_limit_s = a.num("time-limit", 60.0);
     mopt.num_threads = static_cast<int>(a.num("threads", 1));
     mopt.presolve = a.presolve_on();
-    if (warm.feasible) {
-      warm_point = f.encode(warm.solution);
-      mopt.warm_start = &warm_point;
-    }
-    mopt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* out) {
-      return f.complete(lp_point, out);
-    };
-    analysis::InstancePresolveResult ipre;
-    if (mopt.presolve) {
-      analysis::InstancePresolveOptions iopt;
-      if (warm.feasible) iopt.warm = &warm_point;
-      ipre = analysis::instance_reductions(f, iopt);
-      mopt.instance_reductions = &ipre.log;
-    }
-    const auto mip = milp::solve(f.model(), mopt);
+    const auto res =
+        analysis::solve_deployment(f, mopt, warm.feasible ? &warm.solution : nullptr);
+    const auto& mip = res.mip;
     std::printf("MILP status: %s, nodes %lld, lp-iters %d, bound %.6f, gap %.2f%%\n",
                 to_string(mip.status), static_cast<long long>(mip.nodes),
                 mip.lp_iterations, mip.best_bound, 100.0 * mip.gap());
     if (mopt.presolve) {
+      const auto& ipre = res.instance;
       std::printf("presolve: -%d rows -%d cols (%d instance fixing(s): %d dominance, "
                   "%d twin, %d orbit)\n",
                   mip.presolve_stats.rows_removed, mip.presolve_stats.cols_removed,
@@ -248,7 +235,7 @@ int cmd_solve(const Args& a) {
                   ipre.dominance_fixings, ipre.twin_fixings, ipre.orbit_fixings);
     }
     if (!mip.has_solution()) return 1;
-    return report_and_save(*p, f.decode(mip.x), a, mip.seconds);
+    return report_and_save(*p, res.solution, a, mip.seconds);
   }
   return usage();
 }
@@ -441,28 +428,15 @@ int cmd_certify(const Args& a) {
   if (method == "optimal") {
     const auto warm = heuristic::solve_heuristic(*p);
     const model::Formulation f(*p);
-    std::vector<double> warm_point;
+    milp::AuditLog audit;
     milp::MipOptions mopt;
     mopt.time_limit_s = a.num("time-limit", 60.0);
     mopt.num_threads = static_cast<int>(a.num("threads", 1));
-    if (warm.feasible) {
-      warm_point = f.encode(warm.solution);
-      mopt.warm_start = &warm_point;
-    }
-    mopt.completion = [&f](const std::vector<double>& lp_point, std::vector<double>* out) {
-      return f.complete(lp_point, out);
-    };
     mopt.presolve = a.presolve_on();
-    analysis::InstancePresolveResult ipre;
-    if (mopt.presolve) {
-      analysis::InstancePresolveOptions iopt;
-      if (warm.feasible) iopt.warm = &warm_point;
-      ipre = analysis::instance_reductions(f, iopt);
-      mopt.instance_reductions = &ipre.log;
-    }
-    milp::AuditLog audit;
     mopt.audit = &audit;
-    const auto mip = milp::solve(f.model(), mopt);
+    const auto res =
+        analysis::solve_deployment(f, mopt, warm.feasible ? &warm.solution : nullptr);
+    const auto& mip = res.mip;
     std::printf("MILP status: %s, nodes %lld, bound %.6f\n", to_string(mip.status),
                 static_cast<long long>(mip.nodes), mip.best_bound);
     analysis::CertifyBnbOptions co;
@@ -475,11 +449,10 @@ int cmd_certify(const Args& a) {
       rep.merge(analysis::certify_bnb_exact(f.model(), audit, bopt).report);
     }
     if (mip.has_solution()) {
-      certify_deployment(*p, f.decode(mip.x), "milp", rep);
-      if (exact) verify_deployment_exact(*p, f.decode(mip.x), rep);
+      certify_deployment(*p, res.solution, "milp", rep);
+      if (exact) verify_deployment_exact(*p, res.solution, rep);
       if (!a.get("o").empty()) {
-        deploy::write_file(a.get("o"),
-                           deploy::solution_to_json(f.decode(mip.x)).dump(2) + "\n");
+        deploy::write_file(a.get("o"), deploy::solution_to_json(res.solution).dump(2) + "\n");
       }
     } else if (warm.feasible) {
       rep.add(analysis::Severity::kError, analysis::codes::kXcheckMilpFailed, "milp",
@@ -698,10 +671,12 @@ int cmd_profile(const Args& a) {
               ann.feasible ? "feasible" : "infeasible", ann.objective, ann.accepted_moves,
               aopt.iterations, ann.seconds);
 
+  const model::Formulation f(*p);
   milp::MipOptions mopt;
   mopt.time_limit_s = a.num("time-limit", 20.0);
   mopt.num_threads = static_cast<int>(a.num("threads", 1));
-  const auto res = model::solve_optimal(*p, {}, mopt, heur.feasible ? &heur.solution : nullptr);
+  const auto res =
+      analysis::solve_deployment(f, mopt, heur.feasible ? &heur.solution : nullptr);
   std::printf("profile: MILP %s, bound %.6f, %lld nodes, %d LP iters in %.3f s\n",
               to_string(res.mip.status), res.mip.best_bound,
               static_cast<long long>(res.mip.nodes), res.mip.lp_iterations, res.mip.seconds);
