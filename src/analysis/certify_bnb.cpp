@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/certify_lp.hpp"
@@ -357,32 +358,25 @@ Report certify_bnb_tree(const milp::Model& model, const milp::AuditLog& log,
 
 }  // namespace
 
-Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
-                   const CertifyBnbOptions& opt) {
-  if (!log.presolved) return certify_bnb_tree(model, log, opt);
+SearchedModel searched_model(const milp::Model& model, const milp::AuditLog& log,
+                             const CertifyPresolveOptions& opt, Report& rep) {
+  SearchedModel out;
+  if (!log.presolved) {
+    out.original = &model;
+    return out;
+  }
 
   // Presolved audit: every number in the log lives in the reduced space.
-  // Mechanically replay the reduction log (shared code with the solver, so
-  // a faithful log reconstructs a bit-identical reduced model), sanity-check
-  // the claimed shift, then replay the tree against the reduced model. The
-  // reductions THEMSELVES are proved by analysis/presolve's certify_presolve;
-  // this replay only needs the mechanical application to be deterministic.
-  Report rep;
-  {
-    // Re-prove the reduction log itself record by record (float mode; the
-    // exact replayer re-proves it rationally). Mechanical replay below only
-    // needs determinism; THIS is where the reductions' validity is checked.
-    CertifyPresolveOptions po;
-    po.formulation = opt.formulation;
-    rep.merge(certify_presolve(model, log.reductions, po));
-  }
+  // certify_presolve proves the reductions THEMSELVES; the mechanical replay
+  // after it is the solver's own deterministic code, so a faithful log
+  // rebuilds a bit-identical reduced model and shift.
+  rep.merge(certify_presolve(model, log.reductions, opt));
   const lp::PresolvedLp map = lp::apply_reductions(model.lp(), log.reductions);
   if (log.presolve_shift != map.obj_shift) {
-    // Shared deterministic code: a faithful log reproduces the shift exactly.
     rep.add(Severity::kError, codes::kBnbPresolve, "presolve",
             "claimed objective shift " + fmt(log.presolve_shift) +
                 " != replayed shift " + fmt(map.obj_shift));
-    return rep;
+    return out;
   }
   if (map.infeasible) {
     if (log.status != milp::MipStatus::kInfeasible) {
@@ -398,9 +392,9 @@ Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
               std::string("infeasibility proved by the reduction log: ") +
                   map.infeasible_why);
     }
-    return rep;
+    return out;
   }
-  const milp::Model reduced = milp::reduced_model(model, map);
+  milp::Model reduced = milp::reduced_model(model, map);
   if (reduced.num_vars() == 0) {
     // Fully eliminated model: the claim is decided by inspection of the
     // surviving (originally-empty) rows, exactly as the solver decided it.
@@ -409,7 +403,6 @@ Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
     if (feasible) {
       if (log.status != milp::MipStatus::kOptimal || log.obj != 0.0 ||  // fp-exact: solver writes literal 0
           log.best_bound != 0.0 || !log.x.empty() || !log.nodes.empty()) {  // fp-exact: same
-
         rep.add(Severity::kError, codes::kBnbPresolve, "presolve",
                 "presolve eliminated every variable feasibly; the audit must claim "
                 "optimal with reduced objective 0, an empty point and an empty tree");
@@ -419,16 +412,19 @@ Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
               "presolve eliminated every variable but left an unsatisfiable row; "
               "the audit must claim infeasible with an empty tree");
     }
-    return rep;
+    return out;
   }
-  rep.add(Severity::kInfo, codes::kBnbPresolve, "presolve",
-          "replaying the tree against the reduced model (" +
-              std::to_string(reduced.num_vars()) + " of " +
-              std::to_string(model.num_vars()) + " vars, " +
-              std::to_string(reduced.num_rows()) + " of " +
-              std::to_string(model.num_rows()) + " rows, " +
-              std::to_string(log.reductions.reductions.size()) + " reductions)");
-  rep.merge(certify_bnb_tree(reduced, log, opt));
+  out.reduced = std::move(reduced);
+  return out;
+}
+
+Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
+                   const CertifyBnbOptions& opt) {
+  Report rep;
+  CertifyPresolveOptions po;
+  po.formulation = opt.formulation;
+  const SearchedModel searched = searched_model(model, log, po, rep);
+  if (searched.get() != nullptr) rep.merge(certify_bnb_tree(*searched.get(), log, opt));
   return rep;
 }
 

@@ -23,7 +23,13 @@
 //                       returned solution, which is MIP-feasible;
 //   * status honesty:   kOptimal is only claimed when every node was fully
 //                       disposed (no limit/unprocessed leaves).
+//
+// A presolved audit's tree searched the reduced model, not `model`;
+// searched_model below rebuilds it, and both this replay and the exact one
+// (analysis/exact/certify_bnb_exact) run the tree against what it returns.
 #pragma once
+
+#include <optional>
 
 #include "analysis/diagnostics.hpp"
 #include "milp/audit.hpp"
@@ -35,6 +41,30 @@ class Formulation;
 
 namespace nd::analysis {
 
+struct CertifyPresolveOptions;  // analysis/presolve/certify_presolve.hpp
+
+/// The model an audit's tree search ran on, as searched_model finds it.
+struct SearchedModel {
+  const milp::Model* original = nullptr;  ///< unpresolved audit: the caller's model
+  std::optional<milp::Model> reduced;     ///< presolved audit: rebuilt from its log
+  /// The model to replay the tree against; nullptr when the reduction log
+  /// alone decided the claim.
+  [[nodiscard]] const milp::Model* get() const {
+    return reduced.has_value() ? &*reduced : original;
+  }
+};
+
+/// The front half of every audit replay: which model did `log`'s tree
+/// search? Unpresolved, that is `model` itself. Presolved, the reduction
+/// log is re-proved against `model` with certify_presolve in `opt`'s mode,
+/// the reduced model is rebuilt with the solver's own mechanical code
+/// (lp::apply_reductions, milp::reduced_model) and the claimed objective
+/// shift must match it exactly. No model comes back when the log itself
+/// decides the claim — the shift differs, the log proves infeasibility, or
+/// presolve eliminated every variable — and the verdict is in `rep`.
+SearchedModel searched_model(const milp::Model& model, const milp::AuditLog& log,
+                             const CertifyPresolveOptions& opt, Report& rep);
+
 struct CertifyBnbOptions {
   double tol = 1e-6;  ///< relative tolerance for bound/objective comparisons
   /// Deployment formulation behind `model`, when there is one. Needed to
@@ -44,8 +74,9 @@ struct CertifyBnbOptions {
   const model::Formulation* formulation = nullptr;
 };
 
-/// Replay `log` against `model`. Clean report = the tree proves the claimed
-/// status/objective; defects are error diagnostics naming the node.
+/// Replay `log` against `model` (through searched_model, in float mode).
+/// Clean report = the tree proves the claimed status/objective; defects are
+/// error diagnostics naming the node.
 Report certify_bnb(const milp::Model& model, const milp::AuditLog& log,
                    const CertifyBnbOptions& opt = {});
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "analysis/certify_bnb.hpp"
-#include "analysis/exact/certify_lp_exact.hpp"
+#include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/exact/envelope.hpp"
 #include "analysis/exact/verify_deployment.hpp"
 #include "analysis/solve_deployment.hpp"
@@ -18,7 +18,6 @@
 #include "dvfs/vf_table.hpp"
 #include "heuristic/annealing.hpp"
 #include "heuristic/phases.hpp"
-#include "lp/presolve.hpp"
 #include "milp/audit.hpp"
 #include "model/formulation.hpp"
 #include "noc/mesh.hpp"
@@ -188,25 +187,16 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
   }
 
   // Certify the run itself: root LP certificate + full tree replay, and —
-  // when exact checking is on — the rational re-proof of the root
-  // certificate (the per-node exact replay is the CLI's job; here the root
-  // recheck already exercises the whole exact LP pipeline per seed).
+  // when exact checking is on — the exact replay, which re-proves the root
+  // certificate and every prune in rational arithmetic.
   CertifyBnbOptions copt;
   copt.tol = opt.tol;
   copt.formulation = &f;  // instance-tagged reductions are re-proved per seed
   rep.merge(certify_bnb(f.model(), audit, copt));
   if (opt.exact_verify) {
-    // A presolved audit's root certificate lives in the REDUCED space;
-    // reconstruct that space from the (just re-proved) reduction log before
-    // handing the certificate to the rational re-checker.
-    if (audit.presolved) {
-      const lp::PresolvedLp pmap = lp::apply_reductions(f.model().lp(), audit.reductions);
-      if (!pmap.infeasible && pmap.reduced.num_vars() > 0) {
-        rep.merge(certify_lp_exact(pmap.reduced, audit.root_cert).report);
-      }
-    } else {
-      rep.merge(certify_lp_exact(f.model().lp(), audit.root_cert).report);
-    }
+    CertifyBnbExactOptions eopt;
+    eopt.formulation = &f;
+    rep.merge(certify_bnb_exact(f.model(), audit, eopt).report);
   }
 
   // --- Presolve must be a pure reformulation: re-solve with every presolve

@@ -19,8 +19,9 @@
 //     a feasible state that deployment clears the same validator/simulator/
 //     verifier battery and respects the MILP's lower bound,
 //   * with exact_verify on, every deployment is additionally proved by the
-//     exact static verifier and the root LP certificate is re-proved in
-//     rational arithmetic (analysis/exact/).
+//     exact static verifier, and the audit is replayed exactly: the root LP
+//     certificate and every prune are re-proved in rational arithmetic
+//     (analysis/exact/).
 //
 // Every defect becomes an error diagnostic; a clean report over many seeds
 // is the repo's strongest end-to-end correctness statement.
@@ -72,8 +73,9 @@ struct CrosscheckOptions {
   bool presolve_equality = true;
   bool run_simulation = true; ///< event-simulate both deployments
   /// Run the exact static verifier (analysis/exact/verify_deployment) on
-  /// every deployment any path produces, and re-prove the MILP's root LP
-  /// certificate in rational arithmetic (analysis/exact/certify_lp_exact).
+  /// every deployment any path produces, and replay the MILP's audit in
+  /// rational arithmetic (analysis/exact/certify_bnb_exact: the root LP
+  /// certificate and every prune).
   bool exact_verify = true;
   /// Iteration budget for the annealing leg; 0 disables it. Annealing is
   /// incomplete, so an infeasible outcome is a warning, not a defect.

@@ -5,15 +5,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/certify_bnb.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
 #include "analysis/exact/envelope.hpp"
 #include "analysis/presolve/certify_presolve.hpp"
 #include "lp/certificate.hpp"
-#include "lp/presolve.hpp"
 #include "lp/simplex.hpp"
-#include "milp/presolve.hpp"
 #include "obs/obs.hpp"
 
 namespace nd::analysis {
@@ -464,72 +464,22 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
   return out;
 }
 
-/// Presolved audit: mechanically replay the reduction log with the same
-/// deterministic code the solver used (the reductions themselves are proved
-/// by analysis/presolve's certify_presolve), then re-prove the tree against
-/// the reconstructed reduced model. All mechanical comparisons here are
-/// EXACT — shared code must reproduce the claims bit-for-bit.
-ExactBnbOutcome certify_bnb_exact_presolved(const milp::Model& model, const milp::AuditLog& log,
-                                            const CertifyBnbExactOptions& opt,
-                                            ReplayTimes* times) {
-  ExactBnbOutcome out;
-  Report& rep = out.report;
-  {
-    // Zero-tolerance re-proof of every reduction record before anything in
-    // the reduced space is trusted.
-    CertifyPresolveOptions po;
-    po.exact = true;
-    po.formulation = opt.formulation;
-    rep.merge(certify_presolve(model, log.reductions, po));
-  }
-  const lp::PresolvedLp map = lp::apply_reductions(model.lp(), log.reductions);
-  if (log.presolve_shift != map.obj_shift) {
-    rep.add(Severity::kError, codes::kBnbPresolve, "presolve",
-            "claimed objective shift " + fmt(log.presolve_shift) +
-                " != replayed shift " + fmt(map.obj_shift));
-    return out;
-  }
-  if (map.infeasible) {
-    if (log.status != milp::MipStatus::kInfeasible || !log.nodes.empty()) {
-      rep.add(Severity::kError, codes::kBnbPresolve, "presolve",
-              std::string("reduction replay proves infeasibility (") + map.infeasible_why +
-                  ") — the audit must claim infeasible with an empty tree");
-    }
-    return out;
-  }
-  const milp::Model reduced = milp::reduced_model(model, map);
-  if (reduced.num_vars() == 0) {
-    bool feasible = true;
-    (void)lp::trivial_certificate(map.reduced, &feasible);
-    const bool claim_ok =
-        feasible ? (log.status == milp::MipStatus::kOptimal && log.obj == 0.0 &&  // fp-exact: solver writes literal 0
-                    log.best_bound == 0.0 && log.x.empty() && log.nodes.empty())  // fp-exact: same
-                 : (log.status == milp::MipStatus::kInfeasible && log.nodes.empty());
-    if (!claim_ok) {
-      rep.add(Severity::kError, codes::kBnbPresolve, "presolve",
-              feasible ? "presolve eliminated every variable feasibly; the audit must "
-                         "claim optimal with reduced objective 0 and an empty tree"
-                       : "presolve eliminated every variable but left an unsatisfiable "
-                         "row; the audit must claim infeasible with an empty tree");
-    }
-    return out;
-  }
-  ExactBnbOutcome tree = certify_bnb_exact_tree(reduced, log, opt, times);
-  out.bounds_reproved = tree.bounds_reproved;
-  out.reproved_from_vectors = tree.reproved_from_vectors;
-  out.resolves = tree.resolves;
-  out.resolves_failed = tree.resolves_failed;
-  rep.merge(tree.report);
-  return out;
-}
-
 }  // namespace
 
 ExactBnbOutcome certify_bnb_exact(const milp::Model& model, const milp::AuditLog& log,
                                   const CertifyBnbExactOptions& opt) {
+  // Zero-tolerance re-proof of every reduction record before anything in the
+  // reduced space is trusted.
+  CertifyPresolveOptions po;
+  po.exact = true;
+  po.formulation = opt.formulation;
+  Report rep;
+  const SearchedModel searched = searched_model(model, log, po, rep);
   ReplayTimes times;
-  ExactBnbOutcome out = log.presolved ? certify_bnb_exact_presolved(model, log, opt, &times)
-                                      : certify_bnb_exact_tree(model, log, opt, &times);
+  ExactBnbOutcome out;
+  if (searched.get() != nullptr) out = certify_bnb_exact_tree(*searched.get(), log, opt, &times);
+  rep.merge(out.report);
+  out.report = std::move(rep);
   ND_OBS_COUNT("exact.time.root_ns", times.root_ns);
   ND_OBS_COUNT("exact.time.nodes_ns", times.nodes_ns);
   return out;

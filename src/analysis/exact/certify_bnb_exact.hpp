@@ -49,6 +49,12 @@
 // a finite end) — and bails with kBnbStructure before loading any node
 // otherwise.
 //
+// A presolved audit is replayed against the reduced model its tree searched:
+// analysis::searched_model (analysis/certify_bnb.hpp), the front half the
+// float replay uses too, re-proves the reduction log with certify_presolve
+// in exact mode and rebuilds that model, or decides the claim from the log
+// alone.
+//
 // Telemetry: exact.time.root_ns (the root certify_lp_exact) and
 // exact.time.nodes_ns (the node pass), once per certify_bnb_exact call.
 #pragma once

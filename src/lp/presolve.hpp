@@ -120,13 +120,6 @@ struct PresolvedLp {
                                     ///< left an unsatisfiable empty row
   std::string infeasible_why;       ///< first contradiction, for diagnostics
   PresolveStats stats;
-
-  [[nodiscard]] bool identity() const {
-    return !infeasible && reduced.num_vars() == static_cast<int>(orig_of_var.size()) &&
-           stats.rows_removed == 0 && stats.cols_removed == 0 &&
-           stats.bound_tightenings == 0 && stats.coef_tightenings == 0 &&
-           stats.fixings == 0;
-  }
 };
 
 /// Incremental record replay: the bounds/rows state of `p` after a prefix of

@@ -88,10 +88,11 @@ struct AuditLog {
   /// best_bound, warm_obj, node bounds, the root certificate, root fixings
   /// and node var indices — lives in the REDUCED space obtained by applying
   /// `reductions` to the original model (lp::apply_reductions), and the
-  /// original-space objective is `obj + presolve_shift`. The replayer
-  /// (analysis/certify_bnb.hpp) first certifies the reduction log itself
-  /// against the original model, mechanically rebuilds the reduced model,
-  /// and then replays the tree against THAT — so the audit stays sound
+  /// original-space objective is `obj + presolve_shift`. Both replayers
+  /// rebuild that space through one front half (analysis::searched_model in
+  /// analysis/certify_bnb.hpp): it certifies the reduction log itself
+  /// against the original model and mechanically rebuilds the reduced model,
+  /// and the tree is replayed against THAT — so the audit stays sound
   /// end-to-end without trusting the presolve either.
   bool presolved = false;
   lp::ReductionLog reductions;

@@ -27,23 +27,59 @@ grep -q "digraph" "$DIR/dep.dot"
 # Certify: heuristic mode re-validates + re-simulates the deployment.
 "$CLI" certify --problem "$DIR/prob.json" --method heuristic | grep -q "certify: accepted"
 
-# Certify: a fully audited MILP solve, certificate + audit emitted...
-"$CLI" gen --tasks 4 --rows 2 --cols 2 --alpha 2.5 --seed 11 -o "$DIR/small.json"
-"$CLI" certify --problem "$DIR/small.json" --method optimal --time-limit 20 \
+# Certify: a fully audited MILP solve, certificate + audit emitted. The
+# instance (3 tasks on a uniform 2x2 mesh) proves optimal in about a second,
+# so the artifacts do not depend on how far a capped solve gets; presolve
+# removes a column there, so the root certificate lives in the reduced space.
+"$CLI" gen --tasks 3 --rows 2 --cols 2 --alpha 2.0 --seed 4 -o "$DIR/sym.json"
+sed 's/"variation": *[-+0-9.eE]*/"variation": 0/' "$DIR/sym.json" > "$DIR/sym_uniform.json"
+grep -q '"variation": 0,' "$DIR/sym_uniform.json"
+"$CLI" certify --problem "$DIR/sym_uniform.json" --method optimal \
   --emit-certificate "$DIR/cert.json" --emit-audit "$DIR/audit.json" \
-  -o "$DIR/milp_sol.json" | grep -q "certify: accepted"
+  -o "$DIR/milp_sol.json" > "$DIR/certify.txt"
+grep -q "MILP status: optimal" "$DIR/certify.txt"
+grep -q "certify: accepted" "$DIR/certify.txt"
 test -s "$DIR/cert.json"
 test -s "$DIR/audit.json"
 
-# ...then the file mode re-checks solution, certificate and audit offline.
-"$CLI" certify --problem "$DIR/small.json" --solution "$DIR/milp_sol.json" \
-  --certificate "$DIR/cert.json" --audit "$DIR/audit.json" | grep -q "certify: accepted"
+# ...then the file mode re-checks solution, certificate and audit offline and
+# accepts them (exit 0): the audit's root certificate is proved by the audit
+# replays in the space it was emitted in, not against the original LP.
+"$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.json" \
+  --certificate "$DIR/cert.json" --audit "$DIR/audit.json" > "$DIR/file.txt"
+grep -q "certify: accepted" "$DIR/file.txt"
+if grep -q "lp-cert-shape" "$DIR/file.txt"; then
+  echo "expected the root certificate to be checked in the audit's space" >&2
+  exit 1
+fi
+
+# The same with --exact: no shape errors either, and each certificate is
+# proved once, so no line of the report appears twice; the lp-exact-*
+# diagnostics (an informational vertex drift here) show their magnitude
+# instead of "~0.000000".
+"$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.json" \
+  --certificate "$DIR/cert.json" --audit "$DIR/audit.json" --exact > "$DIR/xexact.txt"
+grep -q "certify: accepted" "$DIR/xexact.txt"
+if grep -qE "lp-cert-shape|lp-exact-shape" "$DIR/xexact.txt"; then
+  echo "expected the exact checks to run in the audit's space" >&2
+  exit 1
+fi
+if [ -n "$(sort "$DIR/xexact.txt" | uniq -d)" ]; then
+  echo "expected each line of the --exact report once" >&2
+  exit 1
+fi
+grep "lp-exact-" "$DIR/xexact.txt" > "$DIR/xlines.txt"
+test -s "$DIR/xlines.txt"
+if grep -q "~0\.000000" "$DIR/xlines.txt"; then
+  echo "expected exact diagnostics to print their magnitude" >&2
+  exit 1
+fi
 
 # A tampered audit log must be REJECTED with exit 1: a proved lower bound
 # above the incumbent objective is impossible.
 sed 's/"best_bound": *[-+0-9.eE]*/"best_bound": 1e9/' "$DIR/audit.json" \
   > "$DIR/audit_bad.json"
-if "$CLI" certify --problem "$DIR/small.json" --solution "$DIR/milp_sol.json" \
+if "$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.json" \
      --certificate "$DIR/cert.json" --audit "$DIR/audit_bad.json" >/dev/null 2>&1; then
   echo "expected certify to reject the tampered audit" >&2
   exit 1
@@ -60,34 +96,13 @@ if cmp -s "$DIR/audit.json" "$DIR/audit_inverted.json"; then
   exit 1
 fi
 set +e
-"$CLI" certify --problem "$DIR/small.json" --solution "$DIR/milp_sol.json" \
+"$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.json" \
   --certificate "$DIR/cert.json" --audit "$DIR/audit_inverted.json" --exact \
   > "$DIR/inverted.txt" 2>&1
 rc=$?
 set -e
 test "$rc" = "1"
 grep -q "bnb-structure" "$DIR/inverted.txt"
-
-# File mode with --certificate, --audit and --exact proves each distinct
-# certificate once: here the audit's root certificate is the certificate
-# file, so its lp-exact-* diagnostics appear once, not twice, and each shows
-# its magnitude instead of "~0.000000". The run still exits 0.
-"$CLI" gen --tasks 5 --rows 2 --cols 2 --alpha 2.0 --seed 1 -o "$DIR/xprob.json"
-"$CLI" certify --problem "$DIR/xprob.json" --method optimal \
-  --emit-certificate "$DIR/xcert.json" --emit-audit "$DIR/xaudit.json" \
-  -o "$DIR/xsol.json" > /dev/null
-"$CLI" certify --problem "$DIR/xprob.json" --solution "$DIR/xsol.json" \
-  --certificate "$DIR/xcert.json" --audit "$DIR/xaudit.json" --exact > "$DIR/xexact.txt"
-grep "lp-exact-" "$DIR/xexact.txt" > "$DIR/xlines.txt"
-test -s "$DIR/xlines.txt"
-if [ -n "$(sort "$DIR/xlines.txt" | uniq -d)" ]; then
-  echo "expected each lp-exact diagnostic once" >&2
-  exit 1
-fi
-if grep -q "~0\.000000" "$DIR/xlines.txt"; then
-  echo "expected exact diagnostics to print their magnitude" >&2
-  exit 1
-fi
 
 # Lint: static instance analysis; --presolve-report prints the proof-carrying
 # reduction summary (canonical hash + per-pass tallies) without solving.
@@ -103,14 +118,14 @@ grep -q "lint: 0 error(s)" "$DIR/lint.txt"
 
 # profile implies --stats and exercises every subsystem; --trace writes
 # Chrome trace_event JSON (valid, possibly empty, in BOTH build flavours).
-"$CLI" profile --tasks 5 --rows 2 --cols 2 --iters 500 --time-limit 10 \
-  --trials 2000 --trace "$DIR/trace.json" | grep -q "telemetry:"
+"$CLI" profile --problem "$DIR/sym_uniform.json" --iters 500 --trials 2000 \
+  --trace "$DIR/trace.json" | grep -q "telemetry:"
 test -s "$DIR/trace.json"
 grep -q "traceEvents" "$DIR/trace.json"
 
 # --trace to an unwritable path must fail loudly with exit 2, not silently.
-if "$CLI" profile --tasks 5 --rows 2 --cols 2 --iters 500 --time-limit 10 \
-     --trials 2000 --trace /nonexistent-dir/trace.json \
+if "$CLI" profile --problem "$DIR/sym_uniform.json" --iters 500 --trials 2000 \
+     --trace /nonexistent-dir/trace.json \
      >/dev/null 2>"$DIR/trace_err.txt"; then
   echo "expected --trace to an unwritable path to fail" >&2
   exit 1
@@ -119,10 +134,8 @@ grep -q "cannot write trace file" "$DIR/trace_err.txt"
 
 # profile profiles what solve runs: on a uniform mesh (where the instance
 # passes fix a symmetric host) both search the same tree, so their MILP node
-# counts are equal (one thread, so the counts are deterministic).
-"$CLI" gen --tasks 3 --rows 2 --cols 2 --alpha 2.0 --seed 4 -o "$DIR/sym.json"
-sed 's/"variation": *[-+0-9.eE]*/"variation": 0/' "$DIR/sym.json" > "$DIR/sym_uniform.json"
-grep -q '"variation": 0,' "$DIR/sym_uniform.json"
+# counts are equal (one thread, so the counts are deterministic). The
+# instance is the uniform-mesh one built for the certify cases above.
 solve_nodes="$("$CLI" solve --problem "$DIR/sym_uniform.json" --method optimal \
   | sed -n 's/^MILP status: [a-z]*, nodes \([0-9]*\),.*/\1/p')"
 profile_nodes="$("$CLI" profile --problem "$DIR/sym_uniform.json" --iters 500 --trials 100 \
@@ -193,14 +206,14 @@ fi
 # Unknown flags are usage errors (exit 2), never silently ignored: a removed
 # option and a misspelled one both fail before the command runs.
 set +e
-"$CLI" solve --problem "$DIR/small.json" --method optimal --lp-engine tableau \
+"$CLI" solve --problem "$DIR/prob.json" --method optimal --lp-engine tableau \
   > /dev/null 2> "$DIR/flag_err.txt"
 rc=$?
 set -e
 test "$rc" = "2"
 grep -q "error: unknown flag --lp-engine for solve" "$DIR/flag_err.txt"
 set +e
-"$CLI" solve --problem "$DIR/small.json" --method optimal --time-limt 5 \
+"$CLI" solve --problem "$DIR/prob.json" --method optimal --time-limt 5 \
   > /dev/null 2> "$DIR/flag_err.txt"
 rc=$?
 set -e

@@ -1,5 +1,6 @@
 // Tests for the certificate checkers (analysis/certify_lp,
-// analysis/certify_bnb) and the differential cross-check harness.
+// analysis/certify_bnb, and both audit replays on presolved audits) and the
+// differential cross-check harness.
 //
 // The pattern throughout: solve a small problem for real, assert the genuine
 // certificate/audit is ACCEPTED, then hand-mutate one aspect at a time and
@@ -16,6 +17,7 @@
 #include "analysis/certify_lp.hpp"
 #include "analysis/crosscheck.hpp"
 #include "analysis/diagnostics.hpp"
+#include "analysis/exact/certify_bnb_exact.hpp"
 #include "lp/certificate.hpp"
 #include "lp/problem.hpp"
 #include "milp/audit.hpp"
@@ -271,6 +273,94 @@ TEST(CertifyBnb, RejectsCorruptedRootCertificate) {
   audit.root_cert.obj += 1.0;  // root certificate no longer matches anything
   const Report rep = nd::analysis::certify_bnb(m, audit);
   EXPECT_GT(rep.num_errors(), 0) << rep.to_table();
+}
+
+// ---------------------------------------------------------------------------
+// Presolved audits: both replays rebuild the searched model through one front
+// half (analysis::searched_model), so they must reach the same verdicts.
+
+// Solves `m` with presolve on and returns the audit, which must be presolved.
+nd::milp::AuditLog presolved_audit(const nd::milp::Model& m) {
+  nd::milp::AuditLog audit;
+  nd::milp::MipOptions opt;
+  opt.presolve = true;
+  opt.audit = &audit;
+  (void)nd::milp::solve(m, opt);
+  EXPECT_TRUE(audit.presolved);
+  return audit;
+}
+
+// Runs the float and the exact replay on `audit`: each must report exactly
+// `presolve_errors` errors, all of them bnb-presolve.
+void expect_replays(const nd::milp::Model& m, const nd::milp::AuditLog& audit,
+                    int presolve_errors, const char* what) {
+  const Report fl = nd::analysis::certify_bnb(m, audit);
+  const Report ex = nd::analysis::certify_bnb_exact(m, audit).report;
+  for (const Report* rep : {&fl, &ex}) {
+    const char* who = rep == &fl ? "float" : "exact";
+    int presolve = 0;
+    for (const auto& d : rep->diagnostics()) {
+      if (d.severity == nd::analysis::Severity::kError && d.code == codes::kBnbPresolve) ++presolve;
+    }
+    EXPECT_EQ(rep->num_errors(), presolve_errors) << what << ", " << who << "\n"
+                                                  << rep->to_table();
+    EXPECT_EQ(presolve, presolve_errors) << what << ", " << who << "\n" << rep->to_table();
+  }
+}
+
+TEST(CertifyBnb, BothReplaysJudgePresolvedAuditsAlike) {
+  {
+    // Presolve proves infeasibility: x + y >= 3 over two binaries.
+    nd::milp::Model m;
+    const int x = m.add_bin(1.0, "x");
+    const int y = m.add_bin(1.0, "y");
+    m.add_row({{x, 1.0}, {y, 1.0}}, Sense::GE, 3.0);
+    const auto audit = presolved_audit(m);
+    ASSERT_EQ(audit.status, nd::milp::MipStatus::kInfeasible);
+    ASSERT_TRUE(audit.nodes.empty());
+    expect_replays(m, audit, 0, "infeasible, genuine");
+    auto claimed = audit;
+    claimed.status = nd::milp::MipStatus::kOptimal;
+    expect_replays(m, claimed, 1, "infeasible, claimed optimal");
+    auto shifted = audit;
+    shifted.presolve_shift += 1.0;
+    expect_replays(m, shifted, 1, "infeasible, tampered shift");
+  }
+  {
+    // Presolve eliminates every variable: x + y <= 0 over two binaries.
+    nd::milp::Model m;
+    const int x = m.add_bin(-1.0, "x");
+    const int y = m.add_bin(-1.0, "y");
+    m.add_row({{x, 1.0}, {y, 1.0}}, Sense::LE, 0.0);
+    const auto audit = presolved_audit(m);
+    ASSERT_EQ(audit.status, nd::milp::MipStatus::kOptimal);
+    ASSERT_TRUE(audit.nodes.empty());
+    expect_replays(m, audit, 0, "eliminated, genuine");
+    auto claimed = audit;
+    claimed.obj = -1.0;
+    expect_replays(m, claimed, 1, "eliminated, tampered obj");
+    auto shifted = audit;
+    shifted.presolve_shift += 1.0;
+    expect_replays(m, shifted, 1, "eliminated, tampered shift");
+  }
+  {
+    // A real tree on a reduced model: z <= 0 holds a binary at 0, and the
+    // integers in 2x + 2y <= 7 still need branching.
+    nd::milp::Model m;
+    const int x = m.add_int(0.0, 10.0, -1.0, "x");
+    const int y = m.add_int(0.0, 10.0, -0.9, "y");
+    const int z = m.add_bin(-1.0, "z");
+    m.add_row({{x, 2.0}, {y, 2.0}}, Sense::LE, 7.0);
+    m.add_row({{z, 1.0}}, Sense::LE, 0.0);
+    const auto audit = presolved_audit(m);
+    ASSERT_EQ(audit.status, nd::milp::MipStatus::kOptimal);
+    ASSERT_GT(audit.nodes.size(), 1u) << "expected a branched tree";
+    ASSERT_EQ(audit.x.size(), 2u) << "expected presolve to eliminate z";
+    expect_replays(m, audit, 0, "tree, genuine");
+    auto shifted = audit;
+    shifted.presolve_shift += 1.0;
+    expect_replays(m, shifted, 1, "tree, tampered shift");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Banned-pattern lint over src/, tests/ and tools/ (class 10 also bench/).
+# Banned-pattern lint over src/, tests/ and tools/ (classes 10 and 11 also
+# bench/).
 #
-# Ten pattern classes, each with a rationale:
+# Eleven pattern classes, each with a rationale:
 #   1. rand()/std::rand — all randomness must flow through common/prng.hpp so
 #      every instance, mesh and heuristic run is reproducible from a seed.
 #   2. floating-point ==/!= against a float literal — almost always a
@@ -44,6 +45,12 @@
 #      root presolve with the warm-aware instance passes; a hand-built copy
 #      drifts from it (a different warm point, a missing completion hook) and
 #      searches a different tree. Clearing the field (`= nullptr`) passes.
+#  11. calling lp::apply_reductions anywhere but the presolve itself
+#      (src/lp/presolve.*, src/milp/presolve.cpp) and the audit replays'
+#      front half (src/analysis/certify_bnb.cpp) — a checker that needs the
+#      reduced model an audit's tree searched asks analysis::searched_model,
+#      which re-proves the reduction log before rebuilding that model; a
+#      hand-rebuilt copy skips the proof or picks the wrong space.
 #
 # Exit 0 when clean, 1 with one "file:line: message" per hit otherwise.
 # Run from anywhere: paths resolve relative to the repo root. POSIX sh only —
@@ -134,6 +141,12 @@ hits="$(find src tests tools bench -name '*.cpp' -o -name '*.hpp' | sort \
   | grep -vx 'src/analysis/solve_deployment.cpp' \
   | xargs grep -nE 'instance_reductions[[:space:]]*=[[:space:]]*&' /dev/null)" || true
 report_hits "$hits" "instance_reductions seeded by hand; solve through analysis::solve_deployment"
+
+# --- 11. hand-rebuilt reduced models ------------------------------------------
+hits="$(find src tests tools bench -name '*.cpp' -o -name '*.hpp' | sort \
+  | grep -vxE 'src/lp/presolve\.(cpp|hpp)|src/milp/presolve\.cpp|src/analysis/certify_bnb\.cpp' \
+  | xargs grep -nE 'apply_reductions[[:space:]]*\(' /dev/null)" || true
+report_hits "$hits" "apply_reductions called by hand; ask analysis::searched_model for an audit's reduced model"
 
 if [ "$fail" -eq 0 ]; then
   echo "lint_banned_patterns: clean"
