@@ -66,6 +66,8 @@ void emit_lp_counters(const Simplex& engine) {
   ND_OBS_COUNT("lp.phase1_iterations", c.phase1_iters);
   ND_OBS_COUNT("lp.phase2_iterations", c.phase2_iters);
   ND_OBS_COUNT("lp.time.factorize_ns", c.factorize_ns);
+  ND_OBS_COUNT("lp.time.ftran_ns", c.ftran_ns);
+  ND_OBS_COUNT("lp.time.btran_ns", c.btran_ns);
   // Cumulative engine allocation: memory as a first-class metric next to the
   // time counters (docs/observability.md, "Memory").
   ND_OBS_COUNT("mem.lp.engine_bytes", engine.memory_bytes());

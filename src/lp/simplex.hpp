@@ -108,8 +108,9 @@ class Simplex {
 
   /// Cumulative work tallies since construction. Maintained unconditionally —
   /// they are plain integer increments on paths that already touch the same
-  /// cache lines, plus two clock reads per factorization for factorize_ns —
-  /// so callers can report them with or without the obs layer;
+  /// cache lines, plus two clock reads per factorization, FTRAN and BTRAN
+  /// for the *_ns timers — so callers can report them with or without the
+  /// obs layer;
   /// NOCDEPLOY_OBS only gates the export (see emit_lp_counters).
   struct Counters {
     long long solves = 0;            ///< cold solve() calls
@@ -126,6 +127,8 @@ class Simplex {
     long long eta_updates = 0;       ///< product-form basis updates absorbed
     long long refactor_fill = 0;     ///< cumulative LU fill-in (nnz(L+U)−nnz(B))
     long long factorize_ns = 0;      ///< wall time inside BasisLu::factorize
+    long long ftran_ns = 0;          ///< wall time inside BasisLu::ftran
+    long long btran_ns = 0;          ///< wall time inside BasisLu::btran
   };
   [[nodiscard]] const Counters& counters() const;
 

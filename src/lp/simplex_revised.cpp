@@ -92,6 +92,11 @@ class RevisedEngine {
   /// counters_.factorize_ns. Every factorization of the engine goes through
   /// here.
   [[nodiscard]] bool timed_factorize(BasisLu& lu, double pivot_floor = 0.0);
+  /// lu_.ftran(x) / lu_.btran(x), counted in counters_.ftrans / btrans and
+  /// their wall time added to counters_.ftran_ns / btran_ns. Every FTRAN and
+  /// BTRAN of the engine goes through here.
+  void timed_ftran(std::vector<double>& x) const;
+  void timed_btran(std::vector<double>& x) const;
   /// x_B = B⁻¹(b − N x_N): one FTRAN over the nonbasic offsets.
   void recompute_basic_values() const;
   /// Lazily repair basic values invalidated by set_bound().
@@ -323,8 +328,7 @@ void RevisedEngine::compute_reduced_costs() {
   for (int r = 0; r < m_; ++r) {
     y[static_cast<std::size_t>(r)] = cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
   }
-  lu_.btran(y);
-  ++counters_.btrans;
+  timed_btran(y);
   d_.resize(static_cast<std::size_t>(nw_));
   for (int j = 0; j < nw_; ++j) {
     d_[static_cast<std::size_t>(j)] = cost_[static_cast<std::size_t>(j)] - a_.col_dot(j, y);
@@ -340,6 +344,20 @@ bool RevisedEngine::timed_factorize(BasisLu& lu, double pivot_floor) {
   const bool ok = lu.factorize(a_, basis_, pivot_floor);
   counters_.factorize_ns += obs::now_ns() - t0;
   return ok;
+}
+
+void RevisedEngine::timed_ftran(std::vector<double>& x) const {
+  const std::int64_t t0 = obs::now_ns();
+  lu_.ftran(x);
+  counters_.ftran_ns += obs::now_ns() - t0;
+  ++counters_.ftrans;
+}
+
+void RevisedEngine::timed_btran(std::vector<double>& x) const {
+  const std::int64_t t0 = obs::now_ns();
+  lu_.btran(x);
+  counters_.btran_ns += obs::now_ns() - t0;
+  ++counters_.btrans;
 }
 
 bool RevisedEngine::refactorize() {
@@ -362,8 +380,7 @@ void RevisedEngine::recompute_basic_values() const {
     if (xj == 0.0) continue;  // fp-exact: zero value contributes nothing
     a_.scatter_col(j, -xj, v);
   }
-  lu_.ftran(v);
-  ++counters_.ftrans;
+  timed_ftran(v);
   for (int r = 0; r < m_; ++r) {
     xval_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])] =
         v[static_cast<std::size_t>(r)];
@@ -406,8 +423,7 @@ void RevisedEngine::compute_pivot_row(int r, std::vector<double>* rho,
                                       std::vector<double>* alpha) {
   rho->assign(static_cast<std::size_t>(m_), 0.0);
   (*rho)[static_cast<std::size_t>(r)] = 1.0;
-  lu_.btran(*rho);
-  ++counters_.btrans;
+  timed_btran(*rho);
   alpha->assign(static_cast<std::size_t>(nw_), 0.0);
   for (int i = 0; i < m_; ++i) {
     const double ri = (*rho)[static_cast<std::size_t>(i)];
@@ -619,8 +635,7 @@ SolveStatus RevisedEngine::primal_loop() {
     // Entering column: w = B⁻¹ a_q (the one FTRAN of the iteration).
     w.assign(static_cast<std::size_t>(m_), 0.0);
     a_.scatter_col(q, 1.0, w);
-    lu_.ftran(w);
-    ++counters_.ftrans;
+    timed_ftran(w);
 
     // Ratio test on w: minimum limit, with near-ties (1e-12 window) broken
     // by the largest pivot magnitude. Stability for the factorization side
@@ -835,8 +850,7 @@ SolveStatus RevisedEngine::dual_loop() {
     }
     w.assign(static_cast<std::size_t>(m_), 0.0);
     a_.scatter_col(q, 1.0, w);
-    lu_.ftran(w);
-    ++counters_.ftrans;
+    timed_ftran(w);
     if (std::abs(w[static_cast<std::size_t>(r)]) <= kPivotTol) {
       // The column was selected on the BTRAN pivot row (alpha[q]) but the
       // FTRAN image disagrees — the eta file has drifted. Refactorize and
@@ -1045,8 +1059,7 @@ std::vector<double> RevisedEngine::proof_vector() const {
           cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
     }
   }
-  lu_.btran(y);
-  ++counters_.btrans;
+  timed_btran(y);
   if (breakdown) {
     const double sign = infeas_need_increase_ ? -1.0 : 1.0;
     for (double& v : y) v *= sign;
