@@ -33,6 +33,20 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
   lu_nnz_ = 0;
   basis_nnz_ = 0;
 
+  // Sparsest column first: one stable counting sort of the basis positions
+  // by nonzero count, so ties keep basis order. Pivot k eliminates basis
+  // position order_[k].
+  order_.assign(static_cast<std::size_t>(m_), 0);
+  std::vector<int> slot(static_cast<std::size_t>(m_) + 2, 0);
+  for (int r = 0; r < m_; ++r) {
+    ++slot[static_cast<std::size_t>(a.col_nnz(basis[static_cast<std::size_t>(r)])) + 1];
+  }
+  for (std::size_t c = 1; c < slot.size(); ++c) slot[c] += slot[c - 1];
+  for (int r = 0; r < m_; ++r) {
+    const int c = a.col_nnz(basis[static_cast<std::size_t>(r)]);
+    order_[static_cast<std::size_t>(slot[static_cast<std::size_t>(c)]++)] = r;
+  }
+
   // Left-looking elimination with a dense scatter workspace per column,
   // limited to the work the column needs (Gilbert–Peierls). A row enters
   // `touched` (once, stamped by `seen`) the first time the column writes it;
@@ -63,7 +77,8 @@ bool BasisLu::factorize(const SparseMatrix& a, const std::vector<int>& basis,
       reach.push_back(k);
       std::push_heap(reach.begin(), reach.end(), min_first);
     };
-    const SparseMatrix::ColView bj = a.col(basis[static_cast<std::size_t>(j)]);
+    const SparseMatrix::ColView bj =
+        a.col(basis[static_cast<std::size_t>(order_[static_cast<std::size_t>(j)])]);
     basis_nnz_ += bj.len;
     double colmax = 0.0;
     for (int k = 0; k < bj.len; ++k) {
@@ -167,7 +182,11 @@ void BasisLu::ftran(std::vector<double>& x) const {
       z[static_cast<std::size_t>(e.idx)] -= e.val * zj;
     }
   }
-  x = std::move(z);
+  // Pivot k solved for basis position order_[k].
+  for (int k = 0; k < m_; ++k) {
+    const auto ku = static_cast<std::size_t>(k);
+    x[static_cast<std::size_t>(order_[ku])] = z[ku];
+  }
   // Product-form etas in creation order: x ← E⁻¹ x with
   // E⁻¹ = I − (w − e_r) e_rᵀ / w_r.
   for (const Eta& eta : etas_) {
@@ -192,24 +211,30 @@ void BasisLu::btran(std::vector<double>& x) const {
     }
     x[static_cast<std::size_t>(it->r)] = acc / it->pivot;
   }
-  // Uᵀ v = c ascending (row j of Uᵀ is column j of U — a gather).
+  // Gather basis position order_[k] into pivot k, then Uᵀ v = c ascending
+  // (row j of Uᵀ is column j of U — a gather).
+  std::vector<double> v(static_cast<std::size_t>(m_));
+  for (int k = 0; k < m_; ++k) {
+    const auto ku = static_cast<std::size_t>(k);
+    v[ku] = x[static_cast<std::size_t>(order_[ku])];
+  }
   for (int j = 0; j < m_; ++j) {
-    double acc = x[static_cast<std::size_t>(j)];
+    double acc = v[static_cast<std::size_t>(j)];
     for (const Entry& e : ucols_[static_cast<std::size_t>(j)]) {
-      acc -= e.val * x[static_cast<std::size_t>(e.idx)];
+      acc -= e.val * v[static_cast<std::size_t>(e.idx)];
     }
-    x[static_cast<std::size_t>(j)] = acc / udiag_[static_cast<std::size_t>(j)];
+    v[static_cast<std::size_t>(j)] = acc / udiag_[static_cast<std::size_t>(j)];
   }
   // Lᵀ y = v descending, scattered back to matrix rows via the permutation.
-  std::vector<double> y(static_cast<std::size_t>(m_), 0.0);
+  // L column k holds only rows pivoted after k, so every row it reads was
+  // already written by this pass.
   for (int k = m_ - 1; k >= 0; --k) {
-    double acc = x[static_cast<std::size_t>(k)];
+    double acc = v[static_cast<std::size_t>(k)];
     for (const Entry& e : lcols_[static_cast<std::size_t>(k)]) {
-      acc -= e.val * y[static_cast<std::size_t>(e.idx)];
+      acc -= e.val * x[static_cast<std::size_t>(e.idx)];
     }
-    y[static_cast<std::size_t>(prow_[static_cast<std::size_t>(k)])] = acc;
+    x[static_cast<std::size_t>(prow_[static_cast<std::size_t>(k)])] = acc;
   }
-  x = std::move(y);
 }
 
 bool BasisLu::update(const std::vector<double>& w, int r) {
@@ -250,7 +275,7 @@ bool BasisLu::needs_refactor() const {
 long long BasisLu::bytes() const {
   long long b = static_cast<long long>(
       prow_.capacity() * sizeof(int) + ipos_.capacity() * sizeof(int) +
-      udiag_.capacity() * sizeof(double));
+      order_.capacity() * sizeof(int) + udiag_.capacity() * sizeof(double));
   for (const auto& c : lcols_) b += static_cast<long long>(c.capacity() * sizeof(Entry));
   for (const auto& c : ucols_) b += static_cast<long long>(c.capacity() * sizeof(Entry));
   for (const Eta& e : etas_) b += static_cast<long long>(e.col.capacity() * sizeof(Entry));

@@ -3,14 +3,17 @@
 // The revised simplex engine (lp/simplex_revised.cpp) keeps the basis matrix
 // B factorized instead of maintaining a dense tableau:
 //   * factorize() runs a left-looking sparse LU with partial pivoting over
-//     the basis columns of the shared SparseMatrix. Each column is
-//     eliminated only by the earlier pivots reachable from its nonzero
-//     pattern through the L columns (Gilbert–Peierls), applied in ascending
-//     pivot order, and the pivot search and L extraction visit only the rows
-//     the column touched. That is the operation order of the dense loop over
-//     every earlier pivot and all m rows, so the factors equal its factors
-//     bit for bit, while the cost follows the elimination work and the rows
-//     touched instead of m²;
+//     the basis columns of the shared SparseMatrix, sparsest column first
+//     (ascending nonzero count, ties in basis order), so the slack and
+//     artificial columns pivot before the structural ones and fill follows
+//     nnz(B). Each column is eliminated only by the earlier pivots reachable
+//     from its nonzero pattern through the L columns (Gilbert–Peierls),
+//     applied in ascending pivot order, and the pivot search and L
+//     extraction visit only the rows the column touched. That is the
+//     operation order of the dense loop over every earlier pivot and all m
+//     rows, so the factors equal its factors bit for bit with the dense loop
+//     in that order, while the cost follows the elimination work and the
+//     rows touched instead of m²;
 //   * ftran() solves B x = b (the entering column / basic values);
 //   * btran() solves Bᵀ y = c (duals, pivot rows, Farkas rays);
 //   * update() absorbs one basis exchange as a product-form eta matrix
@@ -86,6 +89,7 @@ class BasisLu {
   bool factorized_ = false;
   std::vector<int> prow_;   // pivot k -> matrix row
   std::vector<int> ipos_;   // matrix row -> pivot k
+  std::vector<int> order_;  // pivot k -> basis position
   std::vector<double> udiag_;               // U diagonal per pivot
   std::vector<std::vector<Entry>> lcols_;   // L column per pivot: (row, l), rows ascending
   std::vector<std::vector<Entry>> ucols_;   // U column per pivot: (k < j, u), k ascending

@@ -1,7 +1,9 @@
 // Revised-simplex engine tests: sparse storage round-trips, LU
 // factorization/solves against known matrices and, bit for bit, against the
-// dense left-looking loop on deployment-shaped bases, product-form eta updates vs
-// fresh factorization, refactorization triggers, and a seeded corpus checked
+// dense left-looking loop in the same column order on deployment-shaped
+// bases, product-form eta updates vs fresh factorization, solve residuals on
+// random sparse bases after eta updates, refactorization triggers, and a
+// seeded corpus checked
 // against committed golden objectives at the LP layer (cold solves and warm
 // dual re-solves) and the MILP layer (across thread counts), with every
 // cold-solve certificate and audit re-proved by the exact layer.
@@ -10,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -283,17 +286,36 @@ TEST(BasisLuTest, NeedsRefactorTripsOnEtaBudget) {
 // LU factors against the dense left-looking loop
 // ---------------------------------------------------------------------------
 
-// Reference for the tests below: the dense left-looking LU, which for each
-// column applies every earlier pivot and scans all m rows twice, with
-// BasisLu's FTRAN and BTRAN minus the eta file. BasisLu's reach-limited
-// elimination promises the same factors bit for bit, so fill and every solve
-// must agree exactly.
+// BasisLu's column order, computed independently of its counting sort:
+// basis positions by ascending nonzero count, ties in basis order.
+std::vector<int> sparsest_first(const SparseMatrix& a, const std::vector<int>& basis) {
+  std::vector<int> order(basis.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int p, int q) {
+    return a.col_nnz(basis[static_cast<std::size_t>(p)]) <
+           a.col_nnz(basis[static_cast<std::size_t>(q)]);
+  });
+  return order;
+}
+
+// Reference for the tests below: the dense left-looking LU, which takes the
+// basis positions in a given order and for each column applies every earlier
+// pivot and scans all m rows twice, with BasisLu's FTRAN and BTRAN minus the
+// eta file. In BasisLu's order (sparsest_first, the default), its
+// reach-limited elimination promises the same factors bit for bit, so fill
+// and every solve must agree exactly.
 class DenseLuReference {
  public:
   bool factorize(const SparseMatrix& a, const std::vector<int>& basis,
                  double pivot_floor = 0.0) {
+    return factorize_in_order(a, basis, sparsest_first(a, basis), pivot_floor);
+  }
+
+  bool factorize_in_order(const SparseMatrix& a, const std::vector<int>& basis,
+                          std::vector<int> order, double pivot_floor = 0.0) {
     m_ = static_cast<int>(basis.size());
     const auto mu = static_cast<std::size_t>(m_);
+    order_ = std::move(order);
     prow_.assign(mu, -1);
     ipos_.assign(mu, -1);
     udiag_.assign(mu, 0.0);
@@ -304,7 +326,7 @@ class DenseLuReference {
     std::vector<double> x(mu, 0.0);
     for (int j = 0; j < m_; ++j) {
       const auto ju = static_cast<std::size_t>(j);
-      const SparseMatrix::ColView bj = a.col(basis[ju]);
+      const SparseMatrix::ColView bj = a.col(basis[static_cast<std::size_t>(order_[ju])]);
       basis_nnz += bj.len;
       double colmax = 0.0;
       for (int k = 0; k < bj.len; ++k) {
@@ -372,20 +394,27 @@ class DenseLuReference {
         z[static_cast<std::size_t>(e.idx)] -= e.val * zj;
       }
     }
-    x = std::move(z);
+    for (int k = 0; k < m_; ++k) {
+      x[static_cast<std::size_t>(order_[static_cast<std::size_t>(k)])] =
+          z[static_cast<std::size_t>(k)];
+    }
   }
 
   void btran(std::vector<double>& x) const {
+    std::vector<double> v(static_cast<std::size_t>(m_));
+    for (int k = 0; k < m_; ++k) {
+      v[static_cast<std::size_t>(k)] = x[static_cast<std::size_t>(order_[static_cast<std::size_t>(k)])];
+    }
     for (int j = 0; j < m_; ++j) {
-      double acc = x[static_cast<std::size_t>(j)];
+      double acc = v[static_cast<std::size_t>(j)];
       for (const Entry& e : ucols_[static_cast<std::size_t>(j)]) {
-        acc -= e.val * x[static_cast<std::size_t>(e.idx)];
+        acc -= e.val * v[static_cast<std::size_t>(e.idx)];
       }
-      x[static_cast<std::size_t>(j)] = acc / udiag_[static_cast<std::size_t>(j)];
+      v[static_cast<std::size_t>(j)] = acc / udiag_[static_cast<std::size_t>(j)];
     }
     std::vector<double> y(static_cast<std::size_t>(m_), 0.0);
     for (int k = m_ - 1; k >= 0; --k) {
-      double acc = x[static_cast<std::size_t>(k)];
+      double acc = v[static_cast<std::size_t>(k)];
       for (const Entry& e : lcols_[static_cast<std::size_t>(k)]) {
         acc -= e.val * y[static_cast<std::size_t>(e.idx)];
       }
@@ -402,7 +431,7 @@ class DenseLuReference {
     double val = 0.0;
   };
   int m_ = 0;
-  std::vector<int> prow_, ipos_;
+  std::vector<int> order_, prow_, ipos_;
   std::vector<double> udiag_;
   std::vector<std::vector<Entry>> lcols_, ucols_;
   long long fill_ = 0;
@@ -508,31 +537,48 @@ void expect_same_solves(const BasisLu& lu, const DenseLuReference& ref, int m,
 }
 
 TEST(BasisLuTest, ReachLimitedFactorsMatchDenseLoopBitForBit) {
-  long long total_fill = 0;
   const auto check = [&](const SparseMatrix& a, const std::vector<int>& basis,
                          std::uint64_t seed, const std::string& what) {
     DenseLuReference ref;
-    ASSERT_TRUE(ref.factorize(a, basis)) << what;
     BasisLu lu;
-    ASSERT_TRUE(lu.factorize(a, basis)) << what;
+    const bool ok = ref.factorize(a, basis) && lu.factorize(a, basis);
+    EXPECT_TRUE(ok) << what;
+    if (!ok) return -1LL;
     EXPECT_EQ(lu.last_fill(), ref.fill()) << what;
-    total_fill += lu.last_fill();
     expect_same_solves(lu, ref, a.rows(), seed, what);
+    return lu.last_fill();
   };
+  long long total_fill = 0;
+  long long basis_order_fill = 0;
   for (const int m : {40, 200, 1000}) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       const ShapedBasis sb = deployment_shaped_basis(m, seed);
-      check(SparseMatrix::from_triplets(m, m, sb.triplets), sb.basis, seed * 7919,
-            "m=" + std::to_string(m) + " seed=" + std::to_string(seed));
+      const SparseMatrix a = SparseMatrix::from_triplets(m, m, sb.triplets);
+      total_fill += check(a, sb.basis, seed * 7919,
+                          "m=" + std::to_string(m) + " seed=" + std::to_string(seed));
+      DenseLuReference in_basis_order;
+      std::vector<int> identity(static_cast<std::size_t>(m));
+      std::iota(identity.begin(), identity.end(), 0);
+      ASSERT_TRUE(in_basis_order.factorize_in_order(a, sb.basis, identity));
+      basis_order_fill += in_basis_order.fill();
     }
   }
-  // A pivot-search tie: after pivot 0, column 1 holds -0.5 in rows 1 and 2.
-  // Row 1 (the lowest) must win; pivoting on row 2 would make column 2 fill.
-  const SparseMatrix tie = SparseMatrix::from_triplets(
-      3, 3, {{0, 0, 2.0}, {1, 0, 1.0}, {2, 0, 1.0}, {0, 1, 1.0}, {2, 2, 1.0}});
-  check(tie, {0, 1, 2}, 1, "tie");
-  // The corpus must make the elimination do work, not just permute.
+  // The corpus must make the elimination do work, not just permute, and
+  // sparsest-first must fill less than the basis-order loop it replaced.
   EXPECT_GT(total_fill, 0);
+  EXPECT_LT(total_fill, basis_order_fill);
+
+  // A pivot-search tie. Columns 1 and 2 hold two entries each, so they
+  // pivot first and in basis order; column 0 holds three and pivots last.
+  // After pivot 0 (column 1, row 0), column 2 holds -0.5 in rows 1 and 2.
+  // Row 1 (the lowest) must win: then column 0 cancels row 1 exactly and
+  // does not reach pivot 1, so the factors hold no fill. Row 2 would give
+  // column 0 a second U entry.
+  const SparseMatrix tie = SparseMatrix::from_triplets(
+      3, 3,
+      {{0, 0, 2.0}, {1, 0, 1.0}, {2, 0, 1.0}, {0, 1, 2.0}, {1, 1, 1.0}, {0, 2, 1.0},
+       {2, 2, -0.5}});
+  EXPECT_EQ(check(tie, {0, 1, 2}, 1, "tie"), 0);
 }
 
 TEST(BasisLuTest, ReachLimitedRefusalsOnLargeSparseBasis) {
@@ -587,6 +633,106 @@ TEST(BasisLuTest, ReachLimitedRefusalsOnLargeSparseBasis) {
   BasisLu strict;
   EXPECT_FALSE(strict.factorize(a, marginal, 1e-9));
   EXPECT_FALSE(ref.factorize(a, marginal, 1e-9));
+}
+
+// Largest |B·x − b| over the rows, relative to the largest row scale
+// |b_i| + Σ_r |B_ir·x_r|: the residual a backward-stable solve keeps near
+// machine epsilon times the pivot growth.
+double ftran_residual(const SparseMatrix& a, const std::vector<int>& basis,
+                      const std::vector<double>& x, const std::vector<double>& b) {
+  std::vector<double> acc = b;
+  std::vector<double> scale(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    acc[i] = -b[i];
+    scale[i] = std::abs(b[i]);
+  }
+  for (std::size_t r = 0; r < basis.size(); ++r) {
+    const SparseMatrix::ColView c = a.col(basis[r]);
+    for (int k = 0; k < c.len; ++k) {
+      const auto i = static_cast<std::size_t>(c.idx[k]);
+      acc[i] += c.val[k] * x[r];
+      scale[i] += std::abs(c.val[k] * x[r]);
+    }
+  }
+  double worst = 0.0;
+  double top = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    worst = std::max(worst, std::abs(acc[i]));
+    top = std::max(top, scale[i]);
+  }
+  return worst / std::max(top, 1.0);
+}
+
+// Largest |Bᵀ·y − c| over the basis positions, relative as above.
+double btran_residual(const SparseMatrix& a, const std::vector<int>& basis,
+                      const std::vector<double>& y, const std::vector<double>& c) {
+  double worst = 0.0;
+  double top = 1.0;
+  for (std::size_t r = 0; r < basis.size(); ++r) {
+    const SparseMatrix::ColView col = a.col(basis[r]);
+    double acc = -c[r];
+    double scale = std::abs(c[r]);
+    for (int k = 0; k < col.len; ++k) {
+      const double t = col.val[k] * y[static_cast<std::size_t>(col.idx[k])];
+      acc += t;
+      scale += std::abs(t);
+    }
+    worst = std::max(worst, std::abs(acc));
+    top = std::max(top, scale);
+  }
+  return worst / top;
+}
+
+// Property: on seeded random sparse bases (deployment-shaped, sizes 20–300)
+// with up to five eta updates absorbed, every FTRAN solves B·x = b and every
+// BTRAN solves Bᵀ·y = c to a residual near machine epsilon. The entering
+// columns are random sparse columns outside the basis, each exchanged at the
+// position of its largest FTRAN entry, as a stable ratio test would.
+TEST(BasisLuTest, RandomSparseBasisSolvesHaveSmallResidualsAfterEtaUpdates) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Prng g(seed * 104729);
+    const int m = static_cast<int>(g.uniform_int(20, 300));
+    const ShapedBasis sb = deployment_shaped_basis(m, seed);
+    const int extra = 8;
+    std::vector<Triplet> ts = sb.triplets;
+    for (int c = m; c < m + extra; ++c) {
+      std::vector<int> used;
+      const auto len = g.uniform_int(1, 6);
+      while (static_cast<std::int64_t>(used.size()) < len) {
+        const int r = static_cast<int>(g.uniform_int(0, m - 1));
+        if (std::find(used.begin(), used.end(), r) != used.end()) continue;
+        used.push_back(r);
+        ts.push_back({r, c, g.uniform(-2.0, 2.0)});
+      }
+    }
+    const SparseMatrix a = SparseMatrix::from_triplets(m, m + extra, ts);
+    std::vector<int> basis = sb.basis;
+    BasisLu lu;
+    ASSERT_TRUE(lu.factorize(a, basis)) << "seed " << seed;
+
+    const int updates = static_cast<int>(g.uniform_int(1, 5));
+    for (int q = m; q < m + updates; ++q) {
+      std::vector<double> w(static_cast<std::size_t>(m), 0.0);
+      a.scatter_col(q, 1.0, w);
+      lu.ftran(w);
+      std::size_t r = 0;
+      for (std::size_t i = 1; i < w.size(); ++i) {
+        if (std::abs(w[i]) > std::abs(w[r])) r = i;
+      }
+      ASSERT_TRUE(lu.update(w, static_cast<int>(r))) << "seed " << seed << " column " << q;
+      basis[r] = q;
+    }
+    ASSERT_EQ(lu.eta_count(), updates);
+
+    for (const std::vector<double>& rhs : solve_inputs(m, seed)) {
+      std::vector<double> x = rhs;
+      lu.ftran(x);
+      EXPECT_LT(ftran_residual(a, basis, x, rhs), 1e-12) << "seed " << seed;
+      std::vector<double> y = rhs;
+      lu.btran(y);
+      EXPECT_LT(btran_residual(a, basis, y, rhs), 1e-12) << "seed " << seed;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
