@@ -3,10 +3,10 @@
 // dense left-looking loop in the same column order on deployment-shaped
 // bases, product-form eta updates vs fresh factorization, solve residuals on
 // random sparse bases after eta updates, refactorization triggers, and a
-// seeded corpus checked
-// against committed golden objectives at the LP layer (cold solves and warm
-// dual re-solves) and the MILP layer (across thread counts), with every
-// cold-solve certificate and audit re-proved by the exact layer.
+// seeded corpus checked against committed golden objectives at the LP layer
+// (cold solves and warm dual re-solves) and the MILP layer (across thread
+// counts), with every cold-solve certificate and audit re-proved by the
+// exact layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -441,10 +441,12 @@ class DenseLuReference {
 // rows (slacks and artificials) and the rest structural columns with 2–8
 // entries, each with a dominant entry on a row no single-entry column holds
 // (so the basis is nonsingular) and the others on random rows, half of them
-// rows of other structural columns. Structural columns pivoted before the
-// single-entry column of one of their rows push that column's pivot
-// elsewhere, so the reach runs through chains of L columns. Basis order is
-// shuffled.
+// rows of other structural columns. In basis order, structural columns
+// pivoted before the single-entry column of one of their rows push that
+// column's pivot elsewhere, so the reach runs through chains of L columns.
+// Sparsest first, the single-entry columns pivot first and the chains run
+// through the structural columns' L entries on each other's rows. Basis
+// order is shuffled.
 struct ShapedBasis {
   std::vector<Triplet> triplets;
   std::vector<int> basis;  ///< column indices 0..m-1, shuffled
@@ -636,11 +638,11 @@ TEST(BasisLuTest, ReachLimitedRefusalsOnLargeSparseBasis) {
 }
 
 // Largest |B·x − b| over the rows, relative to the largest row scale
-// |b_i| + Σ_r |B_ir·x_r|: the residual a backward-stable solve keeps near
-// machine epsilon times the pivot growth.
+// |b_i| + Σ_r |B_ir·x_r| (at least 1): the residual a backward-stable solve
+// keeps near machine epsilon times the pivot growth.
 double ftran_residual(const SparseMatrix& a, const std::vector<int>& basis,
                       const std::vector<double>& x, const std::vector<double>& b) {
-  std::vector<double> acc = b;
+  std::vector<double> acc(b.size());
   std::vector<double> scale(b.size());
   for (std::size_t i = 0; i < b.size(); ++i) {
     acc[i] = -b[i];
@@ -655,12 +657,12 @@ double ftran_residual(const SparseMatrix& a, const std::vector<int>& basis,
     }
   }
   double worst = 0.0;
-  double top = 0.0;
+  double top = 1.0;
   for (std::size_t i = 0; i < b.size(); ++i) {
     worst = std::max(worst, std::abs(acc[i]));
     top = std::max(top, scale[i]);
   }
-  return worst / std::max(top, 1.0);
+  return worst / top;
 }
 
 // Largest |Bᵀ·y − c| over the basis positions, relative as above.
@@ -689,13 +691,14 @@ double btran_residual(const SparseMatrix& a, const std::vector<int>& basis,
 // columns are random sparse columns outside the basis, each exchanged at the
 // position of its largest FTRAN entry, as a stable ratio test would.
 TEST(BasisLuTest, RandomSparseBasisSolvesHaveSmallResidualsAfterEtaUpdates) {
+  constexpr int kMaxUpdates = 5;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     Prng g(seed * 104729);
     const int m = static_cast<int>(g.uniform_int(20, 300));
     const ShapedBasis sb = deployment_shaped_basis(m, seed);
-    const int extra = 8;
+    // Columns m .. m + kMaxUpdates - 1 are the candidates to enter.
     std::vector<Triplet> ts = sb.triplets;
-    for (int c = m; c < m + extra; ++c) {
+    for (int c = m; c < m + kMaxUpdates; ++c) {
       std::vector<int> used;
       const auto len = g.uniform_int(1, 6);
       while (static_cast<std::int64_t>(used.size()) < len) {
@@ -705,12 +708,12 @@ TEST(BasisLuTest, RandomSparseBasisSolvesHaveSmallResidualsAfterEtaUpdates) {
         ts.push_back({r, c, g.uniform(-2.0, 2.0)});
       }
     }
-    const SparseMatrix a = SparseMatrix::from_triplets(m, m + extra, ts);
+    const SparseMatrix a = SparseMatrix::from_triplets(m, m + kMaxUpdates, ts);
     std::vector<int> basis = sb.basis;
     BasisLu lu;
     ASSERT_TRUE(lu.factorize(a, basis)) << "seed " << seed;
 
-    const int updates = static_cast<int>(g.uniform_int(1, 5));
+    const int updates = static_cast<int>(g.uniform_int(1, kMaxUpdates));
     for (int q = m; q < m + updates; ++q) {
       std::vector<double> w(static_cast<std::size_t>(m), 0.0);
       a.scatter_col(q, 1.0, w);
