@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/certify_bnb.hpp"
 #include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/exact/envelope.hpp"
 #include "analysis/exact/verify_deployment.hpp"
@@ -57,16 +56,14 @@ void check_deployment(const deploy::DeploymentProblem& p, const deploy::Deployme
       rep.add(Severity::kError, codes::kXcheckSimDivergence, who, why);
     }
   }
-  if (opt.exact_verify) {
-    // Third, independent judgment: the exact static verifier proves the
-    // deployment schedulable/reliable/energy-consistent without trusting
-    // either the float validator or the simulator.
-    VerifyDeploymentOptions vopt;
-    vopt.claimed_be = deploy::evaluate_energy(p, s).max_proc();
-    const VerifyDeploymentOutcome vd = verify_deployment(p, s, vopt);
-    for (const Diagnostic& d : vd.report.diagnostics()) {
-      rep.add(d.severity, d.code, who + "/" + d.subject, d.message);
-    }
+  // Third, independent judgment: the exact static verifier proves the
+  // deployment schedulable/reliable/energy-consistent without trusting
+  // either the float validator or the simulator.
+  VerifyDeploymentOptions vopt;
+  vopt.claimed_be = deploy::evaluate_energy(p, s).max_proc();
+  const VerifyDeploymentOutcome vd = verify_deployment(p, s, vopt);
+  for (const Diagnostic& d : vd.report.diagnostics()) {
+    rep.add(d.severity, d.code, who + "/" + d.subject, d.message);
   }
 }
 
@@ -186,18 +183,11 @@ SeedOutcome crosscheck_seed(std::uint64_t seed, const CrosscheckOptions& opt) {
     }
   }
 
-  // Certify the run itself: root LP certificate + full tree replay, and —
-  // when exact checking is on — the exact replay, which re-proves the root
-  // certificate and every prune in rational arithmetic.
-  CertifyBnbOptions copt;
-  copt.tol = opt.tol;
-  copt.formulation = &f;  // instance-tagged reductions are re-proved per seed
-  rep.merge(certify_bnb(f.model(), audit, copt));
-  if (opt.exact_verify) {
-    CertifyBnbExactOptions eopt;
-    eopt.formulation = &f;
-    rep.merge(certify_bnb_exact(f.model(), audit, eopt).report);
-  }
+  // Certify the run itself: the audit replay checks the tree and re-proves
+  // the root certificate and every prune in rational arithmetic.
+  CertifyBnbExactOptions eopt;
+  eopt.formulation = &f;  // instance-tagged reductions are re-proved per seed
+  rep.merge(certify_bnb_exact(f.model(), audit, eopt).report);
 
   // --- Presolve must be a pure reformulation: re-solve with every presolve
   // pass off and require the two proved-optimal runs to agree. The margin is

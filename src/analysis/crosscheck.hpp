@@ -12,16 +12,14 @@
 //     bound (a violation means either bound or validator is wrong),
 //   * the energies the evaluator computes match the objectives both solvers
 //     claim (model ↔ evaluator consistency),
-//   * the MILP run itself is certified: the root LP certificate verifies
-//     and the branch-and-bound audit log replays cleanly
-//     (analysis/certify_lp, analysis/certify_bnb),
+//   * the MILP run itself is certified: the audit replay
+//     (analysis/exact/certify_bnb_exact) checks the tree logic and re-proves
+//     the root LP certificate and every prune in rational arithmetic,
 //   * a simulated-annealing baseline explores the same space; when it finds
 //     a feasible state that deployment clears the same validator/simulator/
 //     verifier battery and respects the MILP's lower bound,
-//   * with exact_verify on, every deployment is additionally proved by the
-//     exact static verifier, and the audit is replayed exactly: the root LP
-//     certificate and every prune are re-proved in rational arithmetic
-//     (analysis/exact/).
+//   * every deployment is also proved by the exact static verifier
+//     (analysis/exact/verify_deployment).
 //
 // Every defect becomes an error diagnostic; a clean report over many seeds
 // is the repo's strongest end-to-end correctness statement.
@@ -72,11 +70,6 @@ struct CrosscheckOptions {
   /// envelope. Divergence means a presolve reduction cut off the optimum.
   bool presolve_equality = true;
   bool run_simulation = true; ///< event-simulate both deployments
-  /// Run the exact static verifier (analysis/exact/verify_deployment) on
-  /// every deployment any path produces, and replay the MILP's audit in
-  /// rational arithmetic (analysis/exact/certify_bnb_exact: the root LP
-  /// certificate and every prune).
-  bool exact_verify = true;
   /// Iteration budget for the annealing leg; 0 disables it. Annealing is
   /// incomplete, so an infeasible outcome is a warning, not a defect.
   int anneal_iterations = 6000;

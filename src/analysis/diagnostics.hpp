@@ -68,17 +68,6 @@ inline constexpr const char* kNocPathOutsideMesh = "noc-path-outside-mesh";     
 inline constexpr const char* kNocPathDiscontiguous = "noc-path-discontiguous";    // error
 inline constexpr const char* kNocPathsIdentical = "noc-paths-identical";          // warning
 
-// certify_lp (LP certificate checker)
-inline constexpr const char* kLpCertShape = "lp-cert-shape";                      // error
-inline constexpr const char* kLpCertStatus = "lp-cert-status";                    // error
-inline constexpr const char* kLpCertPrimal = "lp-cert-primal-infeasible";         // error
-inline constexpr const char* kLpCertDual = "lp-cert-dual-infeasible";             // error
-inline constexpr const char* kLpCertSlackness = "lp-cert-slackness";              // error
-inline constexpr const char* kLpCertDualityGap = "lp-cert-duality-gap";           // error
-inline constexpr const char* kLpCertObjective = "lp-cert-objective";              // error
-inline constexpr const char* kLpCertReducedCost = "lp-cert-reduced-cost";         // warning
-inline constexpr const char* kLpCertFarkas = "lp-cert-farkas";                    // error
-
 // certify_bnb (branch-and-bound audit replayer)
 inline constexpr const char* kBnbStructure = "bnb-structure";                     // error
 inline constexpr const char* kBnbBoundRegression = "bnb-bound-regression";        // error
@@ -87,8 +76,6 @@ inline constexpr const char* kBnbPruneIllegal = "bnb-prune-illegal";            
 inline constexpr const char* kBnbIncumbentMismatch = "bnb-incumbent-mismatch";    // error
 inline constexpr const char* kBnbIncumbentRegression = "bnb-incumbent-regression";// error
 inline constexpr const char* kBnbLimitNotOptimal = "bnb-limit-not-optimal";       // error
-inline constexpr const char* kBnbRootCert = "bnb-root-cert";                      // error
-inline constexpr const char* kBnbRootFixing = "bnb-root-fixing";                  // error
 inline constexpr const char* kBnbTimeline = "bnb-timeline";                       // info
 inline constexpr const char* kBnbPresolve = "bnb-presolve";                       // error/info
 
@@ -112,6 +99,7 @@ inline constexpr const char* kLpExactBasis = "lp-exact-basis";                  
 inline constexpr const char* kLpExactPrimal = "lp-exact-primal";                  // warning/error
 inline constexpr const char* kLpExactDual = "lp-exact-dual";                      // warning
 inline constexpr const char* kLpExactDualDrift = "lp-exact-dual-drift";           // error
+inline constexpr const char* kLpExactPointDrift = "lp-exact-point-drift";         // error
 inline constexpr const char* kLpExactObjective = "lp-exact-objective";            // error
 inline constexpr const char* kLpExactFarkas = "lp-exact-farkas";                  // error
 inline constexpr const char* kLpExactVertex = "lp-exact-vertex";                  // info

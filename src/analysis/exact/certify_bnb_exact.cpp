@@ -11,7 +11,6 @@
 #include "analysis/certify_bnb.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
 #include "analysis/exact/envelope.hpp"
-#include "analysis/presolve/certify_presolve.hpp"
 #include "lp/certificate.hpp"
 #include "lp/simplex.hpp"
 #include "obs/obs.hpp"
@@ -108,14 +107,9 @@ struct ReplayTimes {
   std::int64_t nodes_ns = 0;
 };
 
-/// False for an interval lp::Problem::set_var_bounds refuses: inverted (or
-/// NaN), or with no finite end.
-bool loadable(double lo, double hi) {
-  return lo <= hi && (std::isfinite(lo) || std::isfinite(hi));
-}
-
-/// The exact tree replay proper, against the model the tree actually
-/// searched (the original model, or the presolve-reduced one).
+/// The exact proofs, against the model the tree actually searched (the
+/// original model, or the presolve-reduced one), once the tree pass has
+/// accepted the log's structure.
 ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::AuditLog& log,
                                        const CertifyBnbExactOptions& opt, ReplayTimes* times) {
   ExactBnbOutcome out;
@@ -124,54 +118,25 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
   const std::size_t n = static_cast<std::size_t>(model.num_vars());
   const std::size_t m = static_cast<std::size_t>(model.lp().num_rows());
 
-  // ---- Tree structure sanity (the float replay owns the full battery; this
-  // pass only needs parent links it can walk).
-  if (log.nodes.empty()) {
-    rep.add(Severity::kError, codes::kBnbStructure, "tree", "audit log has no nodes");
-    return out;
-  }
-  for (std::size_t i = 0; i < log.nodes.size(); ++i) {
-    const milp::AuditNode& nd = log.nodes[i];
-    const bool bad_id = nd.id != static_cast<int>(i);
-    const bool bad_parent = i == 0 ? nd.parent != -1 : (nd.parent < 0 || nd.parent >= nd.id);
-    if (bad_id || bad_parent) {
-      rep.add(Severity::kError, codes::kBnbStructure, "node" + std::to_string(i),
-              "ids/parents are not creation-ordered; run the float replay for detail");
-      return out;
-    }
-  }
-  // Every interval node_domain loads — a branch interval or a root fixing on
-  // a variable of the model — must be one the scratch LP accepts.
-  bool intervals_ok = true;
-  const auto check_interval = [&](const std::string& subject, const char* what, int var,
-                                  double lo, double hi) {
-    if (var < 0 || static_cast<std::size_t>(var) >= n || loadable(lo, hi)) return;
-    rep.add(Severity::kError, codes::kBnbStructure, subject,
-            std::string(what) + " [" + fmt(lo) + ", " + fmt(hi) + "] on var " +
-                std::to_string(var) + " is inverted or has no finite end");
-    intervals_ok = false;
-  };
-  for (std::size_t i = 1; i < log.nodes.size(); ++i) {
-    const milp::AuditNode& nd = log.nodes[i];
-    check_interval("node" + std::to_string(i), "branch interval", nd.var, nd.lo, nd.hi);
-  }
-  for (const milp::RootFixing& f : log.root_fixings) {
-    check_interval("var" + std::to_string(f.var), "root fixing", f.var, f.lo, f.hi);
-  }
-  if (!intervals_ok) return out;
-
   // ---- Root: full exact certificate re-check.
   const std::int64_t root_start = obs::now_ns();
   ExactLpOutcome root = certify_lp_exact(model.lp(), log.root_cert);
   times->root_ns = obs::now_ns() - root_start;
   rep.merge(root.report);
 
+  const bool have_final =
+      log.status == milp::MipStatus::kOptimal || log.status == milp::MipStatus::kFeasible;
   if (log.root_cert.status == lp::SolveStatus::kInfeasible) {
     // Root-infeasible claim: certify_lp_exact already judged the Farkas ray;
-    // there is nothing bound-shaped left to re-prove.
+    // there is nothing bound-shaped left to re-prove, and no solution can
+    // exist.
     if (!root.farkas_proved) {
       rep.add(Severity::kError, codes::kBnbExactRoot, "root",
               "root infeasibility claim lacks an exact Farkas proof");
+    } else if (have_final) {
+      rep.add(Severity::kError, codes::kBnbExactRoot, "root",
+              std::string("the root LP is exactly infeasible, but the audit claims '") +
+                  milp::to_string(log.status) + "'");
     }
     return out;
   }
@@ -189,8 +154,6 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
   // ---- Final cutoff, exactly. A prune is legal iff the node cannot hold a
   // solution better than obj − gap; the envelope absorbs only the float
   // rounding of the RECORDED obj/gap, never a tunable slack.
-  const bool have_final =
-      log.status == milp::MipStatus::kOptimal || log.status == milp::MipStatus::kFeasible;
   Rat cutoff;
   Rat prune_env;
   if (have_final) {
@@ -206,12 +169,14 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
   NodeResolver solver(model, deadline);
   bool out_of_time = false;
 
-  // A failed prune re-proof refutes OPTIMALITY — a better solution may have
-  // been cut off — but not feasibility: under a kFeasible claim the returned
-  // incumbent and its recorded best bound still stand on their own, so the
-  // same defect degrades to a warning there.
-  const Severity prune_sev =
-      log.status == milp::MipStatus::kOptimal ? Severity::kError : Severity::kWarning;
+  // A failed prune re-proof refutes a PROVED status — a better solution, or
+  // any solution, may have been cut off — but not feasibility: under a
+  // kFeasible claim the returned incumbent and its recorded best bound still
+  // stand on their own, so the same defect degrades to a warning there.
+  const Severity prune_sev = log.status == milp::MipStatus::kOptimal ||
+                                     log.status == milp::MipStatus::kInfeasible
+                                 ? Severity::kError
+                                 : Severity::kWarning;
 
   // One diagnostic a node evaluation wants to emit; verdicts are gathered
   // per node and applied in one place below.
@@ -343,8 +308,7 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
 
       // kPrunedBound / kSkippedParentBound: the exact bound must clear the
       // final cutoff. With no incumbent ever claimed there is nothing exact
-      // to add (the float replay flags bound prunes under an infinite
-      // cutoff).
+      // to add (the tree pass flags bound prunes under an infinite cutoff).
       if (!have_final) return v;
       if (z >= cutoff - prune_env) {
         ++v.reproved;
@@ -468,16 +432,13 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
 
 ExactBnbOutcome certify_bnb_exact(const milp::Model& model, const milp::AuditLog& log,
                                   const CertifyBnbExactOptions& opt) {
-  // Zero-tolerance re-proof of every reduction record before anything in the
-  // reduced space is trusted.
-  CertifyPresolveOptions po;
-  po.exact = true;
-  po.formulation = opt.formulation;
   Report rep;
-  const SearchedModel searched = searched_model(model, log, po, rep);
+  const SearchedModel searched = searched_model(model, log, opt.formulation, rep);
   ReplayTimes times;
   ExactBnbOutcome out;
-  if (searched.get() != nullptr) out = certify_bnb_exact_tree(*searched.get(), log, opt, &times);
+  if (searched.get() != nullptr && certify_bnb_tree(*searched.get(), log, rep)) {
+    out = certify_bnb_exact_tree(*searched.get(), log, opt, &times);
+  }
   rep.merge(out.report);
   out.report = std::move(rep);
   ND_OBS_COUNT("exact.time.root_ns", times.root_ns);

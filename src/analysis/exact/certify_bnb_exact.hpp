@@ -1,12 +1,17 @@
-// Exact branch-and-bound audit replay: re-proves every prune in the log.
+// The audit replay: runs certify_bnb's tree pass, then re-proves in exact
+// rational arithmetic every number that pass takes on trust.
 //
-// The float replayer (analysis/certify_bnb) trusts each node's RECORDED LP
-// bound and checks the tree logic around it. This replayer trusts nothing
-// numeric: for every node whose disposition rests on an LP bound (pruned by
-// bound, proved infeasible, completion-closed, or skipped under its parent's
-// bound) it takes a proof vector for that node's LP, over the node's exact
-// domain reconstructed by milp::node_domain, and turns it into an exact
-// verdict: duals into an unconditionally valid rational lower bound via
+// The tree pass (analysis/certify_bnb) checks the tree logic around each
+// node's RECORDED LP bound: structure, cover, bound monotonicity, prune
+// legality against the recorded bounds, status honesty, the incumbent
+// trajectory and MIP feasibility of the returned point. When its structure
+// section fails nothing else runs, so no node domain is ever loaded from a
+// malformed log. This replay then trusts nothing numeric: for every node
+// whose disposition rests on an LP bound (pruned by bound, proved
+// infeasible, completion-closed, or skipped under its parent's bound) it
+// takes a proof vector for that node's LP, over the node's exact domain
+// reconstructed by milp::node_domain, and turns it into an exact verdict:
+// duals into an unconditionally valid rational lower bound via
 // exact_safe_dual_bound (wrong-signed duals are projected away, so a sloppy
 // vector can only WEAKEN the bound, never forge one), a ray into an exact
 // Farkas check via exact_farkas_proves. Both are sound for ANY vector
@@ -40,20 +45,15 @@
 //
 // A node LP that fails to re-solve inside the time budget degrades to a
 // WARNING (the proof is incomplete, not refuted). A prune whose re-proof
-// FAILS is an error when the log claims kOptimal — the optimality proof has
-// a hole — but a warning under kFeasible, where the incumbent and best_bound
-// stand regardless of which subtrees were discarded. Run the float replay
-// first for tree-structure checks. This pass checks only what it needs to
-// load node domains — creation-ordered ids and parents, and every branch
-// interval and root fixing it loads being one lp::Problem accepts (lo ≤ hi,
-// a finite end) — and bails with kBnbStructure before loading any node
-// otherwise.
+// FAILS is an error when the log claims a proved status (kOptimal or
+// kInfeasible) — the proof has a hole — but a warning under kFeasible,
+// where the incumbent and best_bound stand regardless of which subtrees
+// were discarded.
 //
 // A presolved audit is replayed against the reduced model its tree searched:
-// analysis::searched_model (analysis/certify_bnb.hpp), the front half the
-// float replay uses too, re-proves the reduction log with certify_presolve
-// in exact mode and rebuilds that model, or decides the claim from the log
-// alone.
+// analysis::searched_model (analysis/certify_bnb.hpp) re-proves the
+// reduction log with certify_presolve, in rational arithmetic, and rebuilds
+// that model, or decides the claim from the log alone.
 //
 // Telemetry: exact.time.root_ns (the root certify_lp_exact) and
 // exact.time.nodes_ns (the node pass), once per certify_bnb_exact call.
@@ -76,8 +76,7 @@ struct CertifyBnbExactOptions {
   /// warnings.
   double lp_time_limit_s = 10.0;
   /// Deployment formulation behind the model, for re-proving instance-tagged
-  /// presolve reductions in a presolved audit (certify_presolve runs in
-  /// --exact mode here). Borrowed pointer, not owned.
+  /// presolve reductions in a presolved audit. Borrowed pointer, not owned.
   const model::Formulation* formulation = nullptr;
 };
 

@@ -444,6 +444,11 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
                 " from the exact basis dual, outside the derived envelope " + rat_str(y_env));
   }
 
+  Dyadic xmax_s;  // Dx·max_j |x_j|
+  for (std::size_t j = 0; j < n; ++j) {
+    if (xs[j].abs() > xmax_s) xmax_s = xs[j].abs();
+  }
+  const Rat x_env = claim_envelope(terms, Rat(1) + unscaled(xmax_s, Dx));
   Dyadic worst_x;  // Dx·max_j |claimed x_j − x_j|, first column on ties
   std::size_t worst_xj = n;
   for (std::size_t j = 0; j < n; ++j) {
@@ -453,7 +458,12 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
       worst_xj = j;
     }
   }
-  if (worst_xj != n && !worst_x.is_zero()) {
+  if (worst_xj != n && unscaled(worst_x, Dx) > x_env) {
+    rep.add(Severity::kError, codes::kLpExactPointDrift, p.name(static_cast<int>(worst_xj)),
+            "claimed point drifts " + rat_str(unscaled(worst_x, Dx)) +
+                " from the exact basic solution, outside the derived envelope " +
+                rat_str(x_env));
+  } else if (worst_xj != n) {
     rep.add(Severity::kInfo, codes::kLpExactVertex, p.name(static_cast<int>(worst_xj)),
             "claimed point drifts " + rat_str(unscaled(worst_x, Dx)) +
                 " from the exact basic solution (engine residual; informational)");

@@ -1,9 +1,9 @@
-// Exact-rational LP certificate re-checker.
+// Exact-rational LP certificate checker, the only one in the repo.
 //
-// Where analysis/certify_lp re-verifies a certificate in floating point with
-// epsilon tolerances, this checker reconstructs the claimed basis and solves
-// the basis system in exact rational arithmetic, then proves — with zero
-// tolerance — primal feasibility of the exact basic solution, dual
+// It re-verifies an lp::Certificate against the ORIGINAL problem data,
+// sharing no state with the engine that produced it: it reconstructs the
+// claimed basis and solves the basis system in exact rational arithmetic,
+// then proves — with zero tolerance — primal feasibility of the exact basic solution, dual
 // feasibility of the exact basis duals, complementary slackness and strong
 // duality, both of which hold by construction for a basis solution and are
 // asserted as internal consistency.
@@ -17,15 +17,16 @@
 // D·b, with no gcd per term. A failing check rebuilds the Rat it reports.
 //
 // What cannot be zero-tolerance is comparing the engine's *claimed* float
-// numbers (objective, duals) against the exact values: an honest engine
-// rounds. Those comparisons use the derived envelope of exact/envelope.hpp —
-// a function of problem size and magnitude only, with no tunable knobs.
-// Severity policy:
-//   * malformed/singular basis, claimed objective or claimed duals outside
+// numbers (objective, duals, point) against the exact values: an honest
+// engine rounds. Those comparisons use the derived envelope of
+// exact/envelope.hpp — a function of problem size and magnitude only, with
+// no tunable knobs. Severity policy:
+//   * malformed/singular basis, claimed objective, duals or point outside
 //     the envelope, failed Farkas proof          → error
 //   * exact vertex slightly primal- or dual-infeasible (the float engine
 //     stopped at a not-exactly-optimal basis)    → warning, with the exact
 //     violation magnitude; `exactly_optimal` records it
+//   * claimed point inside the envelope but not exactly the vertex → info
 //
 // Independent of the basis solve, `exact_safe_dual_bound` turns ANY float
 // dual vector into an unconditionally valid exact lower bound on the LP

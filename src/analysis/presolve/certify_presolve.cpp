@@ -6,10 +6,8 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/exact/envelope.hpp"
 #include "analysis/exact/rat.hpp"
 #include "analysis/presolve/instance_presolve.hpp"
-#include "common/stats.hpp"
 
 namespace nd::analysis {
 namespace {
@@ -38,38 +36,22 @@ std::string vname(const lp::Problem& p, int j) {
 }
 
 /// Activity of a LE-form row (original coefficients times `sign`) over the
-/// replay boxes, excluding column `skip`: `want_max` selects the maximum
-/// activity, else the minimum. Returns false when an infinite bound makes
-/// the activity unbounded (nothing is provable from this form then).
+/// replay boxes, excluding column `skip`, summed exactly: `want_max` selects
+/// the maximum activity, else the minimum. Returns false when an infinite
+/// bound makes the activity unbounded (nothing is provable from this form
+/// then).
 bool rest_activity(const Ctx& cx, const lp::Row& w, double sign, int skip, bool want_max,
-                   double* value, double* absacc, std::size_t* len) {
-  NeumaierSum sum, acc;
-  *len = w.coef.size();
+                   Rat* value) {
+  Dyadic sum;
   for (const auto& [j, a0] : w.coef) {
     if (j == skip) continue;
-    const double a = sign * a0;
+    const double a = sign * a0;  // sign is ±1: exact
     const double b = (a > 0.0) == want_max ? cx.st.hi(j) : cx.st.lo(j);
-    if (!std::isfinite(b) && a != 0.0) return false;  // fp-exact: zero coef needs no bound
-    sum.add_product(a, b);
-    acc.add(std::abs(a * b));
+    if (!std::isfinite(b)) return false;
+    sum.add_product(a, Dyadic(b));
   }
-  *value = sum.value();
-  *absacc = acc.value();
+  *value = sum.to_rat();
   return true;
-}
-
-/// Exact twin of rest_activity. Call only after the float version proved
-/// every needed bound finite.
-Rat rest_activity_exact(const Ctx& cx, const lp::Row& w, double sign, int skip, bool want_max) {
-  Rat sum(0.0);
-  const Rat s(sign);
-  for (const auto& [j, a0] : w.coef) {
-    if (j == skip) continue;
-    const Rat a = s * Rat(a0);
-    const bool take_hi = (a0 * sign > 0.0) == want_max;
-    sum += a * Rat(take_hi ? cx.st.hi(j) : cx.st.lo(j));
-  }
-  return sum;
 }
 
 // ---------------------------------------------------------------------------
@@ -112,41 +94,23 @@ std::string check_bound(const Ctx& cx, const Reduction& rc) {
       last = "the pivot coefficient has the wrong sign for this bound direction";
       continue;
     }
-    double rest = 0.0, absacc = 0.0;
-    std::size_t len = 0;
-    if (!rest_activity(cx, w, sign, rc.var, /*want_max=*/false, &rest, &absacc, &len)) {
+    Rat rest;
+    if (!rest_activity(cx, w, sign, rc.var, /*want_max=*/false, &rest)) {
       last = "an unbounded companion column leaves the row activity infinite";
       continue;
     }
-    const double srhs = sign * w.rhs;
-    const double implied = (srhs - rest) / c;
-    const double m =
-        presolve_margin(len + 8, absacc + std::abs(srhs)) / std::abs(c);
-    bool ok_float;
+    // c = sign * a0 with sign = ±1, so Rat(c) is the exact pivot.
+    const Rat implied = (Rat(sign * w.rhs) - rest) / Rat(c);
+    bool ok;
     if (tighten_hi) {
-      ok_float = integral ? implied - m < std::floor(v) + 1.0 : v >= implied - m;
+      ok = integral ? implied < Rat(std::floor(v)) + Rat(1.0) : Rat(v) >= implied;
     } else {
-      ok_float = integral ? implied + m > std::ceil(v) - 1.0 : v <= implied + m;
+      ok = integral ? implied > Rat(std::ceil(v)) - Rat(1.0) : Rat(v) <= implied;
     }
-    if (!ok_float) {
+    if (!ok) {
       last = std::string("the row implies ") + (tighten_hi ? "hi" : "lo") + " = " +
-             std::to_string(implied) + ", weaker than the claimed " + std::to_string(v);
+             rat_str(implied) + ", weaker than the claimed " + std::to_string(v);
       continue;
-    }
-    if (cx.opt.exact) {
-      const Rat rest_x = rest_activity_exact(cx, w, sign, rc.var, /*want_max=*/false);
-      // c = sign * a0 with sign = ±1, so Rat(c) is the exact pivot.
-      const Rat implied_x = (Rat(sign) * Rat(w.rhs) - rest_x) / Rat(c);
-      bool ok_exact;
-      if (tighten_hi) {
-        ok_exact = integral ? implied_x < Rat(std::floor(v)) + Rat(1.0) : Rat(v) >= implied_x;
-      } else {
-        ok_exact = integral ? implied_x > Rat(std::ceil(v)) - Rat(1.0) : Rat(v) <= implied_x;
-      }
-      if (!ok_exact) {
-        last = "the exact implied bound is strictly weaker than the claimed one";
-        continue;
-      }
     }
     return {};
   }
@@ -217,22 +181,13 @@ std::string check_drop_row(const Ctx& cx, const Reduction& rc) {
     return "equality rows are never provably redundant from activity bounds";
   }
   const double sign = w.sense == Sense::LE ? 1.0 : -1.0;
-  double act = 0.0, absacc = 0.0;
-  std::size_t len = 0;
-  if (!rest_activity(cx, w, sign, /*skip=*/-1, /*want_max=*/true, &act, &absacc, &len)) {
+  Rat act;
+  if (!rest_activity(cx, w, sign, /*skip=*/-1, /*want_max=*/true, &act)) {
     return "an unbounded column leaves the row activity infinite";
   }
-  const double srhs = sign * w.rhs;
-  const double m = presolve_margin(len + 8, absacc + std::abs(srhs));
-  if (!(act - m <= srhs)) {
-    return "the maximum activity " + std::to_string(sign * act) +
+  if (act > Rat(sign * w.rhs)) {
+    return "the maximum activity " + rat_str(Rat(sign) * act) +
            " does not prove the row redundant";
-  }
-  if (cx.opt.exact) {
-    const Rat act_x = rest_activity_exact(cx, w, sign, -1, /*want_max=*/true);
-    if (!(act_x <= Rat(srhs))) {
-      return "the exact maximum activity exceeds the rhs";
-    }
   }
   return {};
 }
@@ -268,35 +223,21 @@ std::string check_tighten_coef(const Ctx& cx, const Reduction& rc) {
   if (!found || c == 0.0) {  // fp-exact: structural presence test
     return "the row does not contain the tightened variable";
   }
-  double rest = 0.0, absacc = 0.0;
-  std::size_t len = 0;
-  if (!rest_activity(cx, w, 1.0, rc.var, /*want_max=*/true, &rest, &absacc, &len)) {
+  Rat rest;
+  if (!rest_activity(cx, w, 1.0, rc.var, /*want_max=*/true, &rest)) {
     return "an unbounded companion column leaves the row activity infinite";
   }
-  const double m = presolve_margin(len + 8, absacc + std::abs(w.rhs));
   if (c > 0.0) {
     if (!(rc.coef >= 0.0 && rc.coef < c)) {
       return "a positive coefficient may only shrink toward zero";
     }
-    const double delta = c - rc.coef;
-    // The rhs moves by EXACTLY delta — checked with the error term of
-    // TwoSum so float rounding cannot smuggle slack into the row.
-    const double s = w.rhs - delta;
-    const double dv = w.rhs - s;
-    if (rc.rhs != s || (dv - delta) != 0.0) {  // fp-exact: exactness proof
+    // The rhs moves by EXACTLY the coefficient's change, so no slack enters
+    // the row.
+    if (Rat(rc.rhs) != Rat(w.rhs) - (Rat(c) - Rat(rc.coef))) {
       return "rhs update is not exactly rhs - (old coef - new coef)";
     }
-    if (!(rest - m <= rc.rhs)) {
+    if (rest > Rat(rc.rhs)) {
       return "the x=0 case is not implied: residual activity exceeds the new rhs";
-    }
-    if (cx.opt.exact) {
-      const Rat rest_x = rest_activity_exact(cx, w, 1.0, rc.var, true);
-      if (!(Rat(rc.rhs) == Rat(w.rhs) - (Rat(c) - Rat(rc.coef)))) {
-        return "rhs update is not exact in rational arithmetic";
-      }
-      if (!(rest_x <= Rat(rc.rhs))) {
-        return "the exact residual activity exceeds the new rhs";
-      }
     }
   } else {
     if (rc.rhs != w.rhs) {  // fp-exact: negative tightening keeps the rhs
@@ -305,14 +246,8 @@ std::string check_tighten_coef(const Ctx& cx, const Reduction& rc) {
     if (!(rc.coef > c && rc.coef <= 0.0)) {
       return "a negative coefficient may only grow toward zero";
     }
-    if (!(rest - m <= w.rhs - rc.coef)) {
+    if (rest > Rat(w.rhs) - Rat(rc.coef)) {
       return "the x=1 case is not implied: residual activity exceeds rhs - new coef";
-    }
-    if (cx.opt.exact) {
-      const Rat rest_x = rest_activity_exact(cx, w, 1.0, rc.var, true);
-      if (!(rest_x <= Rat(w.rhs) - Rat(rc.coef))) {
-        return "the exact residual activity exceeds rhs - new coef";
-      }
     }
   }
   return {};

@@ -6,8 +6,7 @@
 //   * kTightenLo / kTightenHi (tag kActivity): the justifying row, under the
 //     bounds state of the preceding records, must imply the claimed bound —
 //     via the activity argument, with integrality rounding for integer
-//     columns. Float mode allows the derived presolve envelope; --exact mode
-//     re-runs the division in rational arithmetic with zero tolerance.
+//     columns.
 //   * kFixVar / kActivity: the box must already be the claimed point (the
 //     record formalises a closed box; it may not invent a value).
 //   * kFixVar / kEmptyColumn: the column must be absent from every surviving
@@ -19,8 +18,13 @@
 //     cases both remain implied.
 //   * kFixVar with an instance tag (kDominance / kOrbit / kTwin): delegated
 //     to check_instance_record, which needs `formulation`; these proofs are
-//     equality-based on the model's written constants, so they are already
-//     exact and identical in both modes.
+//     equality-based on the model's written constants, so they are exact as
+//     written.
+//
+// Every activity, row-drop and coefficient claim is proved in rational
+// arithmetic with zero tolerance: the activity sums are exact, so the margin
+// the presolve passes back their claims off by (presolve_margin,
+// analysis/exact/envelope.hpp) is what lets an honest claim pass.
 //
 // A record that fails re-proof is an error diagnostic (presolve-bad-*). A
 // VALID record whose mechanical application crosses a box is an honest
@@ -41,10 +45,6 @@
 namespace nd::analysis {
 
 struct CertifyPresolveOptions {
-  /// Re-prove every activity / redundancy / tightening claim in rational
-  /// arithmetic with zero tolerance (instance-tagged records are exact
-  /// either way).
-  bool exact = false;
   /// Required to re-prove instance-tagged records and the canonical hash;
   /// without it such records are rejected with presolve-needs-instance.
   const model::Formulation* formulation = nullptr;

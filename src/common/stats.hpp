@@ -1,38 +1,10 @@
 // Streaming summary statistics for benchmark reporting: mean, stddev,
 // min/max, median. Accumulate with add(), read at the end.
-// Plus NeumaierSum, the compensated accumulator used wherever a result is
-// *checked* rather than produced (certificate verification, residuals).
 #pragma once
 
-#include <cmath>
 #include <vector>
 
 namespace nd {
-
-/// Compensated (Neumaier/Kahan–Babuška) summation: absorbs the rounding error
-/// of every += into a correction term, so long dot products lose almost no
-/// precision. Used by the certificate checkers, whose whole point is to be
-/// numerically stricter than the solver they audit.
-class NeumaierSum {
- public:
-  void add(double x) {
-    const double t = sum_ + x;
-    if (std::abs(sum_) >= std::abs(x)) {
-      comp_ += (sum_ - t) + x;
-    } else {
-      comp_ += (x - t) + sum_;
-    }
-    sum_ = t;
-  }
-  /// Convenience for dot products: add(a * b).
-  void add_product(double a, double b) { add(a * b); }
-
-  [[nodiscard]] double value() const { return sum_ + comp_; }
-
- private:
-  double sum_ = 0.0;
-  double comp_ = 0.0;
-};
 
 class Stats {
  public:

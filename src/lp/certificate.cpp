@@ -88,7 +88,6 @@ json::Value certificate_to_json(const Certificate& cert) {
   o.emplace_back("obj", cert.obj);
   o.emplace_back("x", vec_to_json(cert.x));
   o.emplace_back("y", vec_to_json(cert.y));
-  o.emplace_back("d", vec_to_json(cert.d));
   json::Array vstat;
   vstat.reserve(cert.vstat.size());
   for (const VarStatus s : cert.vstat) vstat.emplace_back(static_cast<int>(s));
@@ -118,7 +117,6 @@ Certificate certificate_from_json(const json::Value& v) {
   cert.obj = v.at("obj").as_number();
   cert.x = vec_from_json(v.at("x"));
   cert.y = vec_from_json(v.at("y"));
-  cert.d = vec_from_json(v.at("d"));
   for (const auto& e : v.at("vstat").as_array()) {
     const int s = static_cast<int>(e.as_number());
     if (s < 0 || s > 2) throw std::invalid_argument("certificate: bad vstat entry");

@@ -4,9 +4,11 @@
 // simplex result against the original problem data without trusting the
 // engine's internal state:
 //   * kOptimal:    primal point x, row duals y, basis, variable statuses.
-//     The checker recomputes reduced costs d = c − Aᵀy from scratch and
-//     verifies primal feasibility, dual feasibility, complementary slackness
-//     and the strong-duality gap (see analysis/certify_lp.hpp).
+//     The checker re-solves the basis in exact arithmetic, recomputes the
+//     reduced costs d = c − Aᵀy from it, and proves primal and dual
+//     feasibility and strong duality; the claimed objective, duals and point
+//     must match the exact ones within a derived envelope (see
+//     analysis/exact/certify_lp_exact.hpp).
 //   * kInfeasible: a Farkas ray y over the rows. Writing every row as
 //     aᵀx + s = b with the slack bounded by the row sense, any feasible
 //     point satisfies Σ_j (yᵀA)_j x_j + Σ_r y_r s_r = yᵀb; the ray proves
@@ -34,7 +36,6 @@ struct Certificate {
   double obj = 0.0;              ///< claimed objective (kOptimal)
   std::vector<double> x;         ///< structural values [n] (kOptimal)
   std::vector<double> y;         ///< row duals [m] (kOptimal)
-  std::vector<double> d;         ///< claimed reduced costs [n] (kOptimal)
   std::vector<VarStatus> vstat;  ///< structural statuses [n] (kOptimal)
   std::vector<int> basis;        ///< basic column per row [m]; n+r = slack r,
                                  ///< n+m+r = phase-1 artificial r (degenerate
@@ -72,6 +73,8 @@ struct Certificate {
 };
 
 /// JSON round-trip for the CLI (`nocdeploy-cli certify --certificate F`).
+/// Reading ignores a "d" (reduced costs) array, which certificates once
+/// carried.
 json::Value certificate_to_json(const Certificate& cert);
 Certificate certificate_from_json(const json::Value& v);
 

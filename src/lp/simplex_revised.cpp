@@ -21,7 +21,6 @@
 #include <memory>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 #include "lp/basis_lu.hpp"
 #include "lp/certificate.hpp"
 #include "lp/simplex.hpp"
@@ -1072,18 +1071,6 @@ Certificate RevisedEngine::extract_certificate() const {
   cert.status = last_status_;
   if (last_status_ == SolveStatus::kOptimal) {
     cert.y = proof_vector();
-    // Reduced costs recomputed against the ORIGINAL data, not the engine's
-    // incrementally-updated d_ — the certificate must not inherit drift.
-    cert.d.resize(static_cast<std::size_t>(n_));
-    for (int j = 0; j < n_; ++j) {
-      NeumaierSum acc;
-      acc.add(real_cost_[static_cast<std::size_t>(j)]);
-      const SparseMatrix::ColView c = a_.col(j);
-      for (int k = 0; k < c.len; ++k) {
-        acc.add_product(-cert.y[static_cast<std::size_t>(c.idx[k])], c.val[k]);
-      }
-      cert.d[static_cast<std::size_t>(j)] = acc.value();
-    }
     cert.x = solution();
     cert.obj = objective();
     cert.vstat.assign(stat_.begin(), stat_.begin() + n_);

@@ -5,12 +5,13 @@
 // the parent bound, or cut off by a limit) — plus the root LP certificate,
 // every root reduced-cost fixing, and the incumbent trajectory.
 //
-// The replayer (analysis/certify_bnb.hpp) re-walks this log against the
-// original model and confirms, without trusting the solver: bounds never
-// regress down the tree, every branch's children partition the parent's
-// domain, every prune was legal against the FINAL incumbent, the incumbent
-// only ever improved and matches the returned solution, and a status of
-// kOptimal is only claimed for a fully disposed tree.
+// The audit replay (analysis/exact/certify_bnb_exact.hpp, whose tree pass is
+// analysis/certify_bnb.hpp) re-walks this log against the original model
+// and confirms, without trusting the solver: bounds never regress down the
+// tree, every branch's children partition the parent's domain, every prune
+// was legal against the FINAL incumbent, the incumbent only ever improved
+// and matches the returned solution, and a status of kOptimal is only
+// claimed for a fully disposed tree.
 #pragma once
 
 #include <optional>
@@ -88,7 +89,7 @@ struct AuditLog {
   /// best_bound, warm_obj, node bounds, the root certificate, root fixings
   /// and node var indices — lives in the REDUCED space obtained by applying
   /// `reductions` to the original model (lp::apply_reductions), and the
-  /// original-space objective is `obj + presolve_shift`. Both replayers
+  /// original-space objective is `obj + presolve_shift`. The replays
   /// rebuild that space through one front half (analysis::searched_model in
   /// analysis/certify_bnb.hpp): it certifies the reduction log itself
   /// against the original model and mechanically rebuilds the reduced model,

@@ -44,36 +44,36 @@ test -s "$DIR/audit.json"
 
 # ...then the file mode re-checks solution, certificate and audit offline and
 # accepts them (exit 0): the audit's root certificate is proved by the audit
-# replays in the space it was emitted in, not against the original LP.
+# replay in the space it was emitted in, not against the original LP. Each
+# certificate is proved once, so no line of the report appears twice; the
+# lp-exact-* diagnostics (an informational vertex drift here) show their
+# magnitude instead of "~0.000000".
 "$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.json" \
   --certificate "$DIR/cert.json" --audit "$DIR/audit.json" > "$DIR/file.txt"
 grep -q "certify: accepted" "$DIR/file.txt"
-if grep -q "lp-cert-shape" "$DIR/file.txt"; then
+if grep -q "lp-exact-shape" "$DIR/file.txt"; then
   echo "expected the root certificate to be checked in the audit's space" >&2
   exit 1
 fi
-
-# The same with --exact: no shape errors either, and each certificate is
-# proved once, so no line of the report appears twice; the lp-exact-*
-# diagnostics (an informational vertex drift here) show their magnitude
-# instead of "~0.000000".
-"$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.json" \
-  --certificate "$DIR/cert.json" --audit "$DIR/audit.json" --exact > "$DIR/xexact.txt"
-grep -q "certify: accepted" "$DIR/xexact.txt"
-if grep -qE "lp-cert-shape|lp-exact-shape" "$DIR/xexact.txt"; then
-  echo "expected the exact checks to run in the audit's space" >&2
+if [ -n "$(sort "$DIR/file.txt" | uniq -d)" ]; then
+  echo "expected each line of the certify report once" >&2
   exit 1
 fi
-if [ -n "$(sort "$DIR/xexact.txt" | uniq -d)" ]; then
-  echo "expected each line of the --exact report once" >&2
-  exit 1
-fi
-grep "lp-exact-" "$DIR/xexact.txt" > "$DIR/xlines.txt"
+grep "lp-exact-" "$DIR/file.txt" > "$DIR/xlines.txt"
 test -s "$DIR/xlines.txt"
 if grep -q "~0\.000000" "$DIR/xlines.txt"; then
   echo "expected exact diagnostics to print their magnitude" >&2
   exit 1
 fi
+
+# certify is always exact; --exact is no longer one of its flags.
+set +e
+"$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.json" --exact \
+  > "$DIR/exact_flag.txt" 2>&1
+rc=$?
+set -e
+test "$rc" = "2"
+grep -q "error: unknown flag --exact for certify" "$DIR/exact_flag.txt"
 
 # A tampered audit log must be REJECTED with exit 1: a proved lower bound
 # above the incumbent objective is impossible.
@@ -85,8 +85,8 @@ if "$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.js
   exit 1
 fi
 
-# An inverted branch interval ([1, 1] becomes [1, 0]) is a structure error
-# for the exact replay too: exit 1 with bnb-structure, not an exception.
+# An inverted branch interval ([1, 1] becomes [1, 0]) is a structure error:
+# exit 1 with bnb-structure, not an exception.
 awk '/"nodes": \[/ { in_nodes = 1 }
      in_nodes && !done && /"lo": 1,/ { lo_line = NR }
      in_nodes && !done && /"hi": 1,/ && lo_line == NR - 1 { sub(/"hi": 1,/, "\"hi\": 0,"); done = 1 }
@@ -97,7 +97,7 @@ if cmp -s "$DIR/audit.json" "$DIR/audit_inverted.json"; then
 fi
 set +e
 "$CLI" certify --problem "$DIR/sym_uniform.json" --solution "$DIR/milp_sol.json" \
-  --certificate "$DIR/cert.json" --audit "$DIR/audit_inverted.json" --exact \
+  --certificate "$DIR/cert.json" --audit "$DIR/audit_inverted.json" \
   > "$DIR/inverted.txt" 2>&1
 rc=$?
 set -e

@@ -1,6 +1,8 @@
-// Tests for the certificate checkers (analysis/certify_lp,
-// analysis/certify_bnb, and both audit replays on presolved audits) and the
-// differential cross-check harness.
+// Tests for the certificate checkers — the exact LP certificate checker
+// (analysis/exact/certify_lp_exact), the audit tree pass
+// (analysis/certify_bnb) and the audit replay built on it
+// (analysis/exact/certify_bnb_exact) — and the differential cross-check
+// harness.
 //
 // The pattern throughout: solve a small problem for real, assert the genuine
 // certificate/audit is ACCEPTED, then hand-mutate one aspect at a time and
@@ -11,13 +13,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "analysis/certify_bnb.hpp"
-#include "analysis/certify_lp.hpp"
 #include "analysis/crosscheck.hpp"
 #include "analysis/diagnostics.hpp"
 #include "analysis/exact/certify_bnb_exact.hpp"
+#include "analysis/exact/certify_lp_exact.hpp"
+#include "common/json.hpp"
 #include "lp/certificate.hpp"
 #include "lp/problem.hpp"
 #include "milp/audit.hpp"
@@ -50,36 +54,33 @@ nd::lp::Certificate solved_cert(const nd::lp::Problem& p) {
   return res.cert;
 }
 
-TEST(CertifyLp, AcceptsGenuineCertificate) {
-  const auto p = simple_lp();
-  const auto cert = solved_cert(p);
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
-  EXPECT_NEAR(cert.obj, 1.0, 1e-9);
+/// The exact checker's report on `cert`.
+Report certify(const nd::lp::Problem& p, const nd::lp::Certificate& cert) {
+  return nd::analysis::certify_lp_exact(p, cert).report;
 }
 
 TEST(CertifyLp, RejectsTamperedObjective) {
   const auto p = simple_lp();
   auto cert = solved_cert(p);
   cert.obj += 0.25;
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_GE(rep.count_code(codes::kLpCertObjective), 1) << rep.to_table();
+  const Report rep = certify(p, cert);
+  EXPECT_GE(rep.count_code(codes::kLpExactObjective), 1) << rep.to_table();
 }
 
 TEST(CertifyLp, RejectsPrimalBoundViolation) {
   const auto p = simple_lp();
   auto cert = solved_cert(p);
   cert.x[0] = 1.5;  // above its upper bound of 1
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_GE(rep.count_code(codes::kLpCertPrimal), 1) << rep.to_table();
+  const Report rep = certify(p, cert);
+  EXPECT_GE(rep.count_code(codes::kLpExactPointDrift), 1) << rep.to_table();
 }
 
 TEST(CertifyLp, RejectsPrimalRowViolation) {
   const auto p = simple_lp();
   auto cert = solved_cert(p);
   cert.x = {0.2, 0.2};  // violates x0 + x1 >= 1
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_GE(rep.count_code(codes::kLpCertPrimal), 1) << rep.to_table();
+  const Report rep = certify(p, cert);
+  EXPECT_GE(rep.count_code(codes::kLpExactPointDrift), 1) << rep.to_table();
 }
 
 TEST(CertifyLp, RejectsWrongDualSign) {
@@ -87,8 +88,8 @@ TEST(CertifyLp, RejectsWrongDualSign) {
   auto cert = solved_cert(p);
   // Minimization with a GE row demands y >= 0 on that row.
   cert.y[0] = -1.0;
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_GE(rep.count_code(codes::kLpCertDual), 1) << rep.to_table();
+  const Report rep = certify(p, cert);
+  EXPECT_GE(rep.count_code(codes::kLpExactDualDrift), 1) << rep.to_table();
 }
 
 TEST(CertifyLp, RejectsSlacknessViolation) {
@@ -97,16 +98,34 @@ TEST(CertifyLp, RejectsSlacknessViolation) {
   // The LE row is inactive (activity 1 < 3): a nonzero dual on it breaks
   // complementary slackness even though the sign (y <= 0 on LE) is legal.
   cert.y[1] = -0.5;
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_GE(rep.count_code(codes::kLpCertSlackness), 1) << rep.to_table();
+  const Report rep = certify(p, cert);
+  EXPECT_GE(rep.count_code(codes::kLpExactDualDrift), 1) << rep.to_table();
 }
 
 TEST(CertifyLp, RejectsWrongStatusClaim) {
   const auto p = simple_lp();
   auto cert = solved_cert(p);
   cert.status = nd::lp::SolveStatus::kIterLimit;
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_GE(rep.count_code(codes::kLpCertStatus), 1) << rep.to_table();
+  const Report rep = certify(p, cert);
+  EXPECT_GE(rep.count_code(codes::kLpExactShape), 1) << rep.to_table();
+}
+
+TEST(CertifyLp, CertificateJsonWithReducedCostsLoadsUnchanged) {
+  const auto p = simple_lp();
+  const auto cert = solved_cert(p);
+  // Certificates were once written with their reduced costs as "d".
+  nd::json::Object o = nd::lp::certificate_to_json(cert).as_object();
+  o.emplace_back("d", nd::json::Array{nd::json::Value(0.0), nd::json::Value(1.0)});
+  const auto old =
+      nd::lp::certificate_from_json(nd::json::parse(nd::json::Value(std::move(o)).dump()));
+  EXPECT_EQ(old.status, cert.status);
+  EXPECT_EQ(old.obj, cert.obj);
+  EXPECT_EQ(old.x, cert.x);
+  EXPECT_EQ(old.y, cert.y);
+  EXPECT_EQ(old.vstat, cert.vstat);
+  EXPECT_EQ(old.basis, cert.basis);
+  EXPECT_EQ(old.farkas, cert.farkas);
+  EXPECT_EQ(nd::lp::certificate_to_json(old).dump(), nd::lp::certificate_to_json(cert).dump());
 }
 
 TEST(CertifyLp, AcceptsGenuineFarkasRay) {
@@ -116,30 +135,8 @@ TEST(CertifyLp, AcceptsGenuineFarkasRay) {
   const auto res = nd::lp::solve_lp_certified(p);
   ASSERT_EQ(res.cert.status, nd::lp::SolveStatus::kInfeasible);
   ASSERT_TRUE(res.cert.has_farkas_ray());
-  const Report rep = nd::analysis::certify_lp(p, res.cert);
+  const Report rep = certify(p, res.cert);
   EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
-}
-
-TEST(CertifyLp, RejectsBogusFarkasRay) {
-  nd::lp::Problem p;
-  p.add_var(0.0, 1.0, 1.0, "x0");
-  p.add_row({{0, 1.0}}, Sense::GE, 2.0);
-  auto cert = nd::lp::solve_lp_certified(p).cert;
-  // A zero ray proves nothing: the certified gap collapses to 0.
-  std::fill(cert.farkas.begin(), cert.farkas.end(), 0.0);
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_GE(rep.count_code(codes::kLpCertFarkas), 1) << rep.to_table();
-}
-
-TEST(CertifyLp, RejectsFarkasClaimOnFeasibleProblem) {
-  // A structurally valid ray over a FEASIBLE problem cannot certify a
-  // positive gap; the checker must refuse it.
-  const auto p = simple_lp();
-  nd::lp::Certificate cert;
-  cert.status = nd::lp::SolveStatus::kInfeasible;
-  cert.farkas = {1.0, 0.0};  // "x0 + x1 >= 1 is unreachable" — it is not
-  const Report rep = nd::analysis::certify_lp(p, cert);
-  EXPECT_GE(rep.count_code(codes::kLpCertFarkas), 1) << rep.to_table();
 }
 
 // ---------------------------------------------------------------------------
@@ -202,8 +199,8 @@ TEST(CertifyBnb, RejectsBoundAboveIncumbent) {
   const auto m = staircase_model();
   auto audit = solved_audit(m);
   audit.best_bound = audit.obj + 1.0;  // a lower bound cannot exceed the optimum
-  const Report rep = nd::analysis::certify_bnb(m, audit);
-  EXPECT_GE(rep.count_code(codes::kBnbBoundRegression), 1) << rep.to_table();
+  const Report rep = nd::analysis::certify_bnb_exact(m, audit).report;
+  EXPECT_GE(rep.count_code(codes::kBnbExactObjective), 1) << rep.to_table();
 }
 
 TEST(CertifyBnb, RejectsBrokenTreeStructure) {
@@ -262,8 +259,8 @@ TEST(CertifyBnb, RejectsUnjustifiedRootFixing) {
   // Claim variable 1 was frozen to its lower bound at the root. The root
   // duals carry no reduced-cost justification for it.
   audit.root_fixings.push_back({1, true, 0.0, 0.0});
-  const Report rep = nd::analysis::certify_bnb(m, audit);
-  EXPECT_GE(rep.count_code(codes::kBnbRootFixing), 1) << rep.to_table();
+  const Report rep = nd::analysis::certify_bnb_exact(m, audit).report;
+  EXPECT_GE(rep.count_code(codes::kBnbExactFixing), 1) << rep.to_table();
 }
 
 TEST(CertifyBnb, RejectsCorruptedRootCertificate) {
@@ -271,13 +268,14 @@ TEST(CertifyBnb, RejectsCorruptedRootCertificate) {
   auto audit = solved_audit(m);
   ASSERT_FALSE(audit.root_cert.y.empty());
   audit.root_cert.obj += 1.0;  // root certificate no longer matches anything
-  const Report rep = nd::analysis::certify_bnb(m, audit);
-  EXPECT_GT(rep.num_errors(), 0) << rep.to_table();
+  const Report rep = nd::analysis::certify_bnb_exact(m, audit).report;
+  EXPECT_GE(rep.count_code(codes::kLpExactObjective), 1) << rep.to_table();
 }
 
 // ---------------------------------------------------------------------------
-// Presolved audits: both replays rebuild the searched model through one front
-// half (analysis::searched_model), so they must reach the same verdicts.
+// Presolved audits: the tree pass and the audit replay rebuild the searched
+// model through one front half (analysis::searched_model), so they must reach
+// the same verdicts.
 
 // Solves `m` with presolve on and returns the audit, which must be presolved.
 nd::milp::AuditLog presolved_audit(const nd::milp::Model& m) {
@@ -290,14 +288,14 @@ nd::milp::AuditLog presolved_audit(const nd::milp::Model& m) {
   return audit;
 }
 
-// Runs the float and the exact replay on `audit`: each must report exactly
-// `presolve_errors` errors, all of them bnb-presolve.
+// Runs the tree pass and the audit replay on `audit`: each must report
+// exactly `presolve_errors` errors, all of them bnb-presolve.
 void expect_replays(const nd::milp::Model& m, const nd::milp::AuditLog& audit,
                     int presolve_errors, const char* what) {
   const Report fl = nd::analysis::certify_bnb(m, audit);
   const Report ex = nd::analysis::certify_bnb_exact(m, audit).report;
   for (const Report* rep : {&fl, &ex}) {
-    const char* who = rep == &fl ? "float" : "exact";
+    const char* who = rep == &fl ? "tree pass" : "audit replay";
     int presolve = 0;
     for (const auto& d : rep->diagnostics()) {
       if (d.severity == nd::analysis::Severity::kError && d.code == codes::kBnbPresolve) ++presolve;

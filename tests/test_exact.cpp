@@ -4,8 +4,8 @@
 // from cold re-solves) and the static deployment verifier.
 //
 // The mutation tests deliberately tamper at the 1e-9..1e-12 scale — well
-// inside the 1e-6 tolerances the float checkers accept — so they pass only
-// if the exact path really compares with zero tolerance.
+// inside a 1e-6 float tolerance — so they pass only if the exact path really
+// compares with zero tolerance or the derived envelope.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/certify_bnb.hpp"
-#include "analysis/certify_lp.hpp"
 #include "analysis/diagnostics.hpp"
 #include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
@@ -556,8 +554,7 @@ TEST(ExactLp, AcceptsGenuineCertificateExactly) {
 TEST(ExactLp, RejectsObjectiveForgeryBelowFloatTolerance) {
   const auto p = simple_lp();
   auto cert = solved_cert(p);
-  cert.obj -= 1e-9;  // invisible to the 1e-6 float checker
-  EXPECT_EQ(nd::analysis::certify_lp(p, cert).num_errors(), 0);
+  cert.obj -= 1e-9;  // invisible to a 1e-6 float tolerance
   const auto out = nd::analysis::certify_lp_exact(p, cert);
   EXPECT_GE(out.report.count_code(codes::kLpExactObjective), 1) << out.report.to_table();
 }
@@ -580,9 +577,17 @@ TEST(ExactLp, RejectsDualDriftBelowFloatTolerance) {
   const auto p = simple_lp();
   auto cert = solved_cert(p);
   cert.y[0] += 1e-9;
-  EXPECT_EQ(nd::analysis::certify_lp(p, cert).num_errors(), 0);
   const auto out = nd::analysis::certify_lp_exact(p, cert);
   EXPECT_GE(out.report.count_code(codes::kLpExactDualDrift), 1) << out.report.to_table();
+}
+
+TEST(ExactLp, RejectsPointDriftBelowFloatTolerance) {
+  const auto p = simple_lp();
+  auto cert = solved_cert(p);
+  cert.x[0] += 1e-9;
+  const auto out = nd::analysis::certify_lp_exact(p, cert);
+  EXPECT_GE(out.report.count_code(codes::kLpExactPointDrift), 1) << out.report.to_table();
+  EXPECT_EQ(out.report.count_code(codes::kLpExactVertex), 0) << out.report.to_table();
 }
 
 TEST(ExactLp, RejectsFlippedVariableStatus) {
@@ -873,7 +878,7 @@ TEST(ExactBnb, RejectsForgedPrune) {
   const auto genuine = solved_audit(m);
   // Claim a node that actually BRANCHED was bound-pruned: its true LP bound
   // sits below the cutoff (that is why it branched), so the exact re-proof
-  // must fail. The float replay trusts the recorded disposition and bound.
+  // must fail. The tree pass trusts the recorded disposition and bound.
   std::size_t forged = genuine.nodes.size();
   for (std::size_t i = 0; i < genuine.nodes.size(); ++i) {
     if (genuine.nodes[i].parent >= 0 && genuine.nodes[i].disp == NodeDisp::kBranched) {
@@ -923,6 +928,39 @@ TEST(ExactBnb, RejectsBestBoundAboveIncumbent) {
   audit.best_bound = audit.obj + 1e-9;
   const auto out = nd::analysis::certify_bnb_exact(m, audit);
   EXPECT_GE(out.report.count_code(codes::kBnbExactObjective), 1) << out.report.to_table();
+}
+
+TEST(ExactBnb, RejectsInfeasibilityClaimOnFeasibleRoot) {
+  const auto m = staircase_model();
+  auto audit = solved_audit(m, 1, false);
+  // Claim the root LP was infeasible and stop there: the root re-solves
+  // feasible, so the proved status has a hole.
+  audit.status = nd::milp::MipStatus::kInfeasible;
+  audit.nodes.resize(1);
+  audit.nodes[0].disp = NodeDisp::kPrunedInfeasible;
+  audit.nodes[0].lp_solved = false;
+  audit.nodes[0].incumbent_update = false;
+  audit.x.clear();
+  const auto out = nd::analysis::certify_bnb_exact(m, audit);
+  EXPECT_GE(out.report.count_code(codes::kBnbExactPrune), 1) << out.report.to_table();
+}
+
+TEST(ExactBnb, RejectsSolutionClaimOnExactlyInfeasibleRoot) {
+  // Two binaries cannot sum to 3: the root LP is infeasible.
+  nd::milp::Model m;
+  const int x0 = m.add_bin(1.0, "x0");
+  const int x1 = m.add_bin(1.0, "x1");
+  m.add_row({{x0, 1.0}, {x1, 1.0}}, Sense::GE, 3.0);
+  nd::milp::AuditLog audit;
+  nd::milp::MipOptions opt;
+  opt.presolve = false;
+  opt.audit = &audit;
+  ASSERT_EQ(nd::milp::solve(m, opt).status, nd::milp::MipStatus::kInfeasible);
+  ASSERT_EQ(audit.root_cert.status, nd::lp::SolveStatus::kInfeasible);
+  EXPECT_TRUE(nd::analysis::certify_bnb_exact(m, audit).accepted());
+  audit.status = nd::milp::MipStatus::kFeasible;
+  const auto out = nd::analysis::certify_bnb_exact(m, audit);
+  EXPECT_GE(out.report.count_code(codes::kBnbExactRoot), 1) << out.report.to_table();
 }
 
 /// Intervals lp::Problem::set_var_bounds refuses.

@@ -236,7 +236,7 @@ TEST(Formulation, SinglePathModeDecodesAllZeroPaths) {
   // found itself. It holds one within a few dozen nodes; the node budget
   // stops the search long before the time cap.
   milp::MipOptions o = quick_opts(10.0);
-  o.node_limit = 200;
+  o.node_limit = 50;
   const auto opt =
       solve_deployment(Formulation(*p, {Objective::kBalanceEnergy, false}), o, nullptr);
   ASSERT_TRUE(opt.mip.has_solution()) << to_string(opt.mip.status);

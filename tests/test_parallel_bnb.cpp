@@ -1,12 +1,14 @@
 // Tests for the work-sharing branch-and-bound (milp/branch_and_bound.cpp)
 // at one and more threads, and the audit-shard merge
-// (milp::merge_audit_shards) followed by the replay (analysis::certify_bnb).
+// (milp::merge_audit_shards) followed by the audit replay
+// (analysis::certify_bnb_exact).
 //
 // The determinism contract under test: for every thread count the solver
 // proves the SAME optimal objective, and every audit log it emits — whatever
 // tree shape the schedule produced — replays cleanly through
-// analysis::certify_bnb. The single-thread result is the reference; it is
-// itself validated against brute force in test_milp.cpp.
+// analysis::certify_bnb_exact, root certificate and root fixings included.
+// The single-thread result is the reference; it is itself validated against
+// brute force in test_milp.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/certify_bnb.hpp"
+#include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/diagnostics.hpp"
 #include "common/prng.hpp"
 #include "milp/audit.hpp"
@@ -130,7 +132,7 @@ TEST(ParallelBnb, StaircaseSameObjectiveEveryThreadCount) {
     ASSERT_EQ(par.res.status, MipStatus::kOptimal) << "threads " << threads;
     EXPECT_NEAR(par.res.obj, ref.res.obj, 1e-6) << "threads " << threads;
     EXPECT_TRUE(m.is_mip_feasible(par.res.x, 1e-6)) << "threads " << threads;
-    const Report rep = nd::analysis::certify_bnb(m, par.audit);
+    const Report rep = nd::analysis::certify_bnb_exact(m, par.audit).report;
     EXPECT_EQ(rep.num_errors(), 0) << "threads " << threads << "\n" << rep.to_table();
   }
 }
@@ -141,7 +143,7 @@ TEST_P(ParallelBnbSeeds, SameProvedOptimumAndCertifiableAudit) {
   const Model m = random_binary_model(GetParam());
   const SolveOut ref = solve_with_threads(m, 1);
   {
-    const Report rep = nd::analysis::certify_bnb(m, ref.audit);
+    const Report rep = nd::analysis::certify_bnb_exact(m, ref.audit).report;
     EXPECT_EQ(rep.num_errors(), 0) << "1 thread\n" << rep.to_table();
   }
   for (const int threads : {2, 4}) {
@@ -154,7 +156,7 @@ TEST_P(ParallelBnbSeeds, SameProvedOptimumAndCertifiableAudit) {
           << "threads " << threads << " seed " << GetParam();
       EXPECT_TRUE(m.is_mip_feasible(par.res.x, 1e-6));
     }
-    const Report rep = nd::analysis::certify_bnb(m, par.audit);
+    const Report rep = nd::analysis::certify_bnb_exact(m, par.audit).report;
     EXPECT_EQ(rep.num_errors(), 0)
         << "threads " << threads << " seed " << GetParam() << "\n" << rep.to_table();
   }
@@ -174,7 +176,7 @@ TEST(ParallelBnb, WarmStartSeedsTheSharedIncumbent) {
   ASSERT_EQ(par.res.status, MipStatus::kOptimal);
   EXPECT_NEAR(par.res.obj, -7.0, 1e-6);
   EXPECT_TRUE(par.audit.warm_accepted);
-  const Report rep = nd::analysis::certify_bnb(m, par.audit);
+  const Report rep = nd::analysis::certify_bnb_exact(m, par.audit).report;
   EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
 }
 
@@ -205,7 +207,7 @@ TEST(ParallelBnb, CompletionHeuristicRunsOnWorkers) {
   const SolveOut par = solve_with_threads(m, 4, opt);
   ASSERT_EQ(par.res.status, MipStatus::kOptimal);
   EXPECT_NEAR(par.res.obj, ref.res.obj, 1e-6);
-  const Report rep = nd::analysis::certify_bnb(m, par.audit);
+  const Report rep = nd::analysis::certify_bnb_exact(m, par.audit).report;
   EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
 }
 
@@ -217,7 +219,7 @@ TEST(ParallelBnb, InfeasibleModelProvedOnEveryThreadCount) {
   for (const int threads : {1, 2, 4}) {
     const SolveOut out = solve_with_threads(m, threads);
     EXPECT_EQ(out.res.status, MipStatus::kInfeasible) << "threads " << threads;
-    const Report rep = nd::analysis::certify_bnb(m, out.audit);
+    const Report rep = nd::analysis::certify_bnb_exact(m, out.audit).report;
     EXPECT_EQ(rep.num_errors(), 0) << "threads " << threads << "\n" << rep.to_table();
   }
 }
@@ -237,7 +239,7 @@ TEST(ParallelBnb, NodeLimitYieldsHonestNonOptimalAudit) {
     }
     // A truncated tree (limit / unprocessed leaves) must still replay cleanly
     // for its claimed non-proved status.
-    const Report rep = nd::analysis::certify_bnb(m, out.audit);
+    const Report rep = nd::analysis::certify_bnb_exact(m, out.audit).report;
     EXPECT_EQ(rep.num_errors(), 0) << "threads " << threads << "\n" << rep.to_table();
     if (threads != 1) continue;
     // One thread: the node that trips the limit is counted, and every
@@ -328,7 +330,7 @@ TEST(ParallelBnb, ThreadCountZeroUsesDefaultAndSolves) {
   const auto res = nd::milp::solve(m, opt);
   ASSERT_EQ(res.status, MipStatus::kOptimal);
   EXPECT_NEAR(res.obj, -7.0, 1e-6);
-  const Report rep = nd::analysis::certify_bnb(m, audit);
+  const Report rep = nd::analysis::certify_bnb_exact(m, audit).report;
   EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
 }
 
@@ -418,7 +420,7 @@ TEST(AuditShards, CertifyShardsAcceptsRealisticSplit) {
   AuditLog skeleton = ref.audit;
   skeleton.nodes.clear();
   ASSERT_TRUE(nd::milp::merge_audit_shards({even, odd}, &skeleton));
-  const Report rep = nd::analysis::certify_bnb(m, skeleton);
+  const Report rep = nd::analysis::certify_bnb_exact(m, skeleton).report;
   EXPECT_EQ(rep.num_errors(), 0) << rep.to_table();
 }
 

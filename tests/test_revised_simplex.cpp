@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/certify_lp.hpp"
 #include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
 #include "analysis/exact/envelope.hpp"
@@ -794,8 +793,6 @@ TEST(EngineDifferential, LpStatusObjectiveAndCertificatesAgree) {
     EXPECT_NEAR(eng.objective(), g.obj, 1e-6 * (1.0 + std::abs(g.obj)))
         << "objective mismatch on seed " << g.seed;
     const nd::lp::Certificate cert = eng.extract_certificate();
-    const auto rep = nd::analysis::certify_lp(p, cert);
-    EXPECT_EQ(rep.num_errors(), 0) << "float certify failed on seed " << g.seed;
     const auto exact = nd::analysis::certify_lp_exact(p, cert);
     EXPECT_TRUE(exact.accepted()) << "exact certify failed on seed " << g.seed;
   }

@@ -23,8 +23,9 @@
 #      boundary; every double there carries a `rat-io` comment or it fails.
 #   7. hand-rolled tolerance literals (`1e-...`) in the presolve layers —
 #      every margin there must come from the shared claim envelope
-#      (analysis/exact/envelope.hpp), so the float checker and the exact
-#      checker agree on what "within tolerance" means. A presolve file that
+#      (analysis/exact/envelope.hpp), so the float presolve passes back their
+#      claims off by exactly what the exact certifier needs to re-prove them
+#      with zero tolerance. A presolve file that
 #      needs a new constant derives it (ldexp of a power of two) or extends
 #      the envelope; it never inlines `1e-6`-style magic.
 #   8. tolerance literals in the sparse/LU kernels (lp/sparse.*,

@@ -6,10 +6,10 @@
 //   nocdeploy validate --problem prob.json --solution sol.json
 //   nocdeploy simulate --problem prob.json --solution sol.json [--trials 100000]
 //   nocdeploy lint     --problem prob.json [--model] [--presolve-report] [--json]
-//   nocdeploy certify  --problem prob.json --method optimal|heuristic [--exact]
+//   nocdeploy certify  --problem prob.json --method optimal|heuristic
 //                      [--emit-certificate c.json] [--emit-audit a.json] [-o sol.json]
 //   nocdeploy certify  --problem prob.json --solution sol.json
-//                      [--certificate c.json] [--audit a.json] [--exact] [--json]
+//                      [--certificate c.json] [--audit a.json] [--json]
 //   nocdeploy verify   --problem prob.json --solution sol.json
 //                      [--claimed-be X] [--no-contention] [--json]
 //   nocdeploy crosscheck [--seeds N] [--first-seed S] [--tasks N] [--threads T] [--json]
@@ -24,6 +24,10 @@
 // `--threads` (solve/certify with --method optimal, crosscheck) selects the
 // MILP solver's thread count: 1 = sequential, >1 = work-sharing parallel
 // branch-and-bound, 0 = machine default (honours NOCDEPLOY_THREADS).
+//
+// `certify` is always exact: it replays an audit with certify_bnb_exact, checks
+// a certificate with certify_lp_exact, and verifies every deployment with the
+// exact static verifier (docs/certify.md).
 //
 // `--presolve on|off` (solve/certify with --method optimal, crosscheck)
 // toggles the proof-carrying presolve: instance-level dominance/symmetry
@@ -54,10 +58,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/certify_bnb.hpp"
 #include "bench_diff.hpp"
 #include "sweep_runner.hpp"
-#include "analysis/certify_lp.hpp"
 #include "analysis/exact/certify_bnb_exact.hpp"
 #include "analysis/exact/certify_lp_exact.hpp"
 #include "analysis/exact/verify_deployment.hpp"
@@ -115,13 +117,13 @@ int usage() {
                "  validate --problem P.json --solution S.json\n"
                "  simulate --problem P.json --solution S.json [--trials N]\n"
                "  lint     --problem P.json [--model] [--presolve-report] [--json]\n"
-               "  certify  --problem P.json --method optimal|heuristic [--exact]\n"
+               "  certify  --problem P.json --method optimal|heuristic\n"
                "           [--time-limit SEC] [--threads T] [--presolve on|off]\n"
                "           [--exact-lp-budget SEC]\n"
                "           [--emit-certificate F] [--emit-audit F]\n"
                "           [-o solution.json] [--json]\n"
                "  certify  --problem P.json --solution S.json\n"
-               "           [--certificate F] [--audit F] [--exact] [--json]\n"
+               "           [--certificate F] [--audit F] [--json]\n"
                "  verify   --problem P.json --solution S.json\n"
                "           [--claimed-be X] [--no-contention] [--json]\n"
                "  crosscheck [--seeds N] [--first-seed S] [--tasks N] [--rows R]\n"
@@ -328,9 +330,9 @@ void certify_deployment(const deploy::DeploymentProblem& p,
   }
 }
 
-/// Exact static verification of one deployment (certify --exact): the claimed
-/// objective is the float evaluator's BE, which the exact aggregation must
-/// reproduce within the derived envelope.
+/// Exact static verification of one deployment: the claimed objective is the
+/// float evaluator's BE, which the exact aggregation must reproduce within
+/// the derived envelope.
 void verify_deployment_exact(const deploy::DeploymentProblem& p,
                              const deploy::DeploymentSolution& s, analysis::Report& rep) {
   analysis::VerifyDeploymentOptions vopt;
@@ -343,7 +345,6 @@ int cmd_certify(const Args& a) {
   auto p = deploy::problem_from_json(json::parse(deploy::read_file(a.get("problem"))));
   analysis::Report rep;
   const std::string method = a.get("method");
-  const bool exact = a.flags.count("exact") != 0;
 
   if (method.empty()) {
     // File mode: certify an existing solution (plus optional certificate and
@@ -352,7 +353,7 @@ int cmd_certify(const Args& a) {
     const auto s =
         deploy::solution_from_json(json::parse(deploy::read_file(a.get("solution"))), *p);
     certify_deployment(*p, s, "solution", rep);
-    if (exact) verify_deployment_exact(*p, s, rep);
+    verify_deployment_exact(*p, s, rep);
     const double be = deploy::evaluate_energy(*p, s).max_proc();
     if (!a.get("certificate").empty() || !a.get("audit").empty()) {
       const model::Formulation f(*p);
@@ -366,15 +367,14 @@ int cmd_certify(const Args& a) {
         // The root LP relaxation lower-bounds every deployment's BE energy.
         // The audit's own root certificate lives in the space its tree
         // searched (where the objective is the original one less
-        // presolve_shift), so the audit replays below prove it there; any
+        // presolve_shift), so the audit replay below proves it there; any
         // other certificate is checked here against the original LP.
         double lp_bound = cert.obj;
         if (audit && lp::certificate_to_json(audit->root_cert).dump() ==
                          lp::certificate_to_json(cert).dump()) {
           if (audit->presolved) lp_bound += audit->presolve_shift;
         } else {
-          rep.merge(analysis::certify_lp(f.model().lp(), cert));
-          if (exact) rep.merge(analysis::certify_lp_exact(f.model().lp(), cert).report);
+          rep.merge(analysis::certify_lp_exact(f.model().lp(), cert).report);
         }
         if (cert.status == lp::SolveStatus::kOptimal && be < lp_bound - 1e-6 * (1.0 + lp_bound)) {
           rep.add(analysis::Severity::kError, analysis::codes::kXcheckBeBelowOptimal,
@@ -382,14 +382,9 @@ int cmd_certify(const Args& a) {
         }
       }
       if (audit) {
-        analysis::CertifyBnbOptions co;
-        co.formulation = &f;  // re-proves instance-tagged presolve reductions
-        rep.merge(analysis::certify_bnb(f.model(), *audit, co));
-        if (exact) {
-          analysis::CertifyBnbExactOptions bo;
-          bo.formulation = &f;
-          rep.merge(analysis::certify_bnb_exact(f.model(), *audit, bo).report);
-        }
+        analysis::CertifyBnbExactOptions bo;
+        bo.formulation = &f;  // re-proves instance-tagged presolve reductions
+        rep.merge(analysis::certify_bnb_exact(f.model(), *audit, bo).report);
         // Presolved audits record the objective in reduced space; the
         // original-space claim is obj + presolve_shift.
         const double audit_obj = audit->obj + (audit->presolved ? audit->presolve_shift : 0.0);
@@ -412,7 +407,7 @@ int cmd_certify(const Args& a) {
       return finish_certify(rep, a);
     }
     certify_deployment(*p, res.solution, "heuristic", rep);
-    if (exact) verify_deployment_exact(*p, res.solution, rep);
+    verify_deployment_exact(*p, res.solution, rep);
     if (!a.get("o").empty()) {
       deploy::write_file(a.get("o"), deploy::solution_to_json(res.solution).dump(2) + "\n");
     }
@@ -433,18 +428,13 @@ int cmd_certify(const Args& a) {
     const auto& mip = res.mip;
     std::printf("MILP status: %s, nodes %lld, bound %.6f\n", to_string(mip.status),
                 static_cast<long long>(mip.nodes), mip.best_bound);
-    analysis::CertifyBnbOptions co;
-    co.formulation = &f;  // re-proves instance-tagged presolve reductions
-    rep.merge(analysis::certify_bnb(f.model(), audit, co));
-    if (exact) {
-      analysis::CertifyBnbExactOptions bopt;
-      bopt.lp_time_limit_s = a.num("exact-lp-budget", bopt.lp_time_limit_s);
-      bopt.formulation = &f;
-      rep.merge(analysis::certify_bnb_exact(f.model(), audit, bopt).report);
-    }
+    analysis::CertifyBnbExactOptions bopt;
+    bopt.lp_time_limit_s = a.num("exact-lp-budget", bopt.lp_time_limit_s);
+    bopt.formulation = &f;  // re-proves instance-tagged presolve reductions
+    rep.merge(analysis::certify_bnb_exact(f.model(), audit, bopt).report);
     if (mip.has_solution()) {
       certify_deployment(*p, res.solution, "milp", rep);
-      if (exact) verify_deployment_exact(*p, res.solution, rep);
+      verify_deployment_exact(*p, res.solution, rep);
       if (!a.get("o").empty()) {
         deploy::write_file(a.get("o"), deploy::solution_to_json(res.solution).dump(2) + "\n");
       }
@@ -732,8 +722,8 @@ const std::map<std::string, Command> kCommands = {
     {"lint", {cmd_lint, {"problem", "model", "presolve-report", "json"}}},
     {"certify",
      {cmd_certify,
-      {"problem", "method", "solution", "certificate", "audit", "exact", "exact-lp-budget",
-       "time-limit", "threads", "presolve", "emit-certificate", "emit-audit", "o", "json"}}},
+      {"problem", "method", "solution", "certificate", "audit", "exact-lp-budget", "time-limit",
+       "threads", "presolve", "emit-certificate", "emit-audit", "o", "json"}}},
     {"verify", {cmd_verify, {"problem", "solution", "claimed-be", "no-contention", "json"}}},
     {"crosscheck",
      {cmd_crosscheck,
