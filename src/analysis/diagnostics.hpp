@@ -97,7 +97,7 @@ inline constexpr const char* kPresolveNote = "presolve-note";                 //
 inline constexpr const char* kLpExactShape = "lp-exact-shape";                    // error
 inline constexpr const char* kLpExactBasis = "lp-exact-basis";                    // error
 inline constexpr const char* kLpExactPrimal = "lp-exact-primal";                  // warning/error
-inline constexpr const char* kLpExactDual = "lp-exact-dual";                      // warning
+inline constexpr const char* kLpExactDual = "lp-exact-dual";                      // warning/error
 inline constexpr const char* kLpExactDualDrift = "lp-exact-dual-drift";           // error
 inline constexpr const char* kLpExactPointDrift = "lp-exact-point-drift";         // error
 inline constexpr const char* kLpExactObjective = "lp-exact-objective";            // error

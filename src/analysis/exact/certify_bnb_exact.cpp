@@ -353,18 +353,16 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
   }
   times->nodes_ns = obs::now_ns() - nodes_start;
 
-  // ---- Root reduced-cost fixings against the EXACT root reduced costs.
+  // ---- Root reduced-cost fixings against the exact root bound and the
+  // reduced costs of the same sign-feasible duals: every point off a fixing
+  // costs at least the bound plus that variable's push.
   if (!log.root_fixings.empty()) {
-    if (!log.warm_accepted || !root.basis_solved || !root.has_safe_bound ||
-        root.exact_d.size() != n) {
+    if (!log.warm_accepted || !root.has_proved_bound) {
       rep.add(Severity::kError, codes::kBnbExactFixing, "root",
-              "fixings present but no exact root duals/incumbent to justify them");
+              "fixings present but no exact root bound/incumbent to justify them");
     } else {
       const Rat warm(log.warm_obj);
-      // Prefer the exact vertex objective when the basis is exactly optimal;
-      // the projected safe bound can be strictly weaker.
-      const Rat z_root = root.exactly_optimal ? root.exact_objective : root.safe_lower_bound;
-      const Rat slack = warm - z_root;
+      const Rat slack = warm - root.proved_bound;
       const Rat env = claim_envelope(n + m, Rat(1) + warm.abs());
       for (const milp::RootFixing& f : log.root_fixings) {
         const std::string subject = "var" + std::to_string(f.var);
@@ -379,7 +377,7 @@ ExactBnbOutcome certify_bnb_exact_tree(const milp::Model& model, const milp::Aud
                   "fixing " + fmt(f.lo) + " is not the model bound " + fmt(expected));
           continue;
         }
-        const Rat& d = root.exact_d[static_cast<std::size_t>(f.var)];
+        const Rat& d = root.proved_d[static_cast<std::size_t>(f.var)];
         const Rat push = f.at_lower ? d : -d;
         if (push >= slack) {
           continue;  // exactly justified

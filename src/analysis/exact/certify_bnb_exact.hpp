@@ -24,8 +24,10 @@
 //   * kPrunedInfeasible                   → exact Farkas proof of the node LP
 //   * root                                → full exact certificate re-check
 //                                           (certify_lp_exact) + bound match
-//   * root reduced-cost fixings           → exact root reduced costs close
-//                                           the warm-start gap
+//   * root reduced-cost fixings           → the root bound its exact duals
+//                                           prove, plus the reduced cost of
+//                                           the same duals, closes the
+//                                           warm-start gap
 //   * final claims                        → exact cᵀx vs claimed objective,
 //                                           best_bound ≤ objective
 //

@@ -240,12 +240,6 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
     }
   }
 
-  // The safe dual bound needs none of the above — compute it regardless, so
-  // the B&B replay can still bound nodes whose certificates are imperfect.
-  Rat safe;
-  out.has_safe_bound = exact_safe_dual_bound(p, cert.y, &safe);
-  if (out.has_safe_bound) out.safe_lower_bound = safe;
-
   if (!basis_ok) return out;
 
   // ---- exact basic solution ------------------------------------------------
@@ -299,21 +293,36 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
   std::vector<Dyadic> xs(n);
   for (std::size_t j = 0; j < n; ++j) xs[j] = scaled(out.exact_x[j], Dx);
 
-  // ---- exact primal feasibility (zero tolerance; honest engines can stop
-  // at a marginally infeasible basis, so violations are warnings that carry
-  // the exact magnitude) -----------------------------------------------------
+  const std::size_t terms = n + m;
+  Dyadic xmax_s;  // Dx·max_j |x_j|
+  for (std::size_t j = 0; j < n; ++j) {
+    if (xs[j].abs() > xmax_s) xmax_s = xs[j].abs();
+  }
+  const Rat x_env = claim_envelope(terms, Rat(1) + unscaled(xmax_s, Dx));
+
+  // ---- exact primal feasibility (zero tolerance). An honest engine can stop
+  // at a marginally infeasible basis, so a violation that a point within
+  // x_env of the vertex could clear (x_env itself for a bound,
+  // x_env·Σ_j |a_rj| for row r) is a warning carrying the exact magnitude;
+  // a larger one is an error. ------------------------------------------------
   out.primal_exact_feasible = true;
+  const auto primal = [&](const std::string& subject, const Rat& by, const Rat& env,
+                          const std::string& what) {
+    out.primal_exact_feasible = false;
+    const bool beyond = by > env;
+    rep.add(beyond ? Severity::kError : Severity::kWarning, codes::kLpExactPrimal, subject,
+            what + rat_str(by) +
+                (beyond ? ", outside the derived envelope " + rat_str(env) : std::string()));
+  };
   for (std::size_t j = 0; j < n; ++j) {
     const double lo = p.lo(static_cast<int>(j)), hi = p.hi(static_cast<int>(j));
     if (finite(lo) && xs[j] < times(lo, Dx)) {
-      out.primal_exact_feasible = false;
-      rep.add(Severity::kWarning, codes::kLpExactPrimal, p.name(static_cast<int>(j)),
-              "exact basic value undershoots lo by " + rat_str(Rat(lo) - out.exact_x[j]));
+      primal(p.name(static_cast<int>(j)), Rat(lo) - out.exact_x[j], x_env,
+             "exact basic value undershoots lo by ");
     }
     if (finite(hi) && xs[j] > times(hi, Dx)) {
-      out.primal_exact_feasible = false;
-      rep.add(Severity::kWarning, codes::kLpExactPrimal, p.name(static_cast<int>(j)),
-              "exact basic value overshoots hi by " + rat_str(out.exact_x[j] - Rat(hi)));
+      primal(p.name(static_cast<int>(j)), out.exact_x[j] - Rat(hi), x_env,
+             "exact basic value overshoots hi by ");
     }
   }
   for (std::size_t r = 0; r < m; ++r) {
@@ -326,10 +335,10 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
     const bool bad = (s == Sense::LE && sgn > 0) || (s == Sense::GE && sgn < 0) ||
                      (s == Sense::EQ && sgn != 0);
     if (bad) {
-      out.primal_exact_feasible = false;
-      rep.add(Severity::kWarning, codes::kLpExactPrimal, "row " + std::to_string(r),
-              "exact row activity violates the sense by " +
-                  rat_str(unscaled(excess.abs(), Dx)));
+      Dyadic reach;  // Σ_j |a_rj|
+      for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) reach += Dyadic(std::abs(v));
+      primal("row " + std::to_string(r), unscaled(excess.abs(), Dx), x_env * reach.to_rat(),
+             "exact row activity violates the sense by ");
     }
   }
 
@@ -355,8 +364,6 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
       ds[static_cast<std::size_t>(j)].add_product(v, ys[r], true);
     }
   }
-  out.exact_d.assign(n, Rat());
-  for (std::size_t j = 0; j < n; ++j) out.exact_d[j] = unscaled(ds[j], Dy);
   for (const std::size_t j : J) {
     if (!ds[j].is_zero()) {
       rep.add(Severity::kError, codes::kLpExactBasis, p.name(static_cast<int>(j)),
@@ -365,13 +372,17 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
     }
   }
 
+  // Wrong signs are warnings carrying the exact value; whether they leave
+  // the basis optimal is decided once, on the objective, below.
   out.dual_exact_feasible = true;
+  std::vector<char> projected(m, 0);
   for (std::size_t r = 0; r < m; ++r) {
     const Sense s = p.row(static_cast<int>(r)).sense;
     const bool bad = (s == Sense::LE && out.exact_y[r].sign() > 0) ||
                      (s == Sense::GE && out.exact_y[r].sign() < 0);
     if (bad) {
       out.dual_exact_feasible = false;
+      projected[r] = 1;
       rep.add(Severity::kWarning, codes::kLpExactDual, "row " + std::to_string(r),
               "exact basis dual has the wrong sign for the row sense: " +
                   rat_str(out.exact_y[r]));
@@ -387,7 +398,7 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
       out.dual_exact_feasible = false;
       rep.add(Severity::kWarning, codes::kLpExactDual, p.name(static_cast<int>(j)),
               std::string("exact reduced cost has the wrong sign for a nonbasic-at-") +
-                  (at_lower ? "lower" : "upper") + " variable: " + rat_str(out.exact_d[j]));
+                  (at_lower ? "lower" : "upper") + " variable: " + rat_str(unscaled(ds[j], Dy)));
     }
   }
   out.exactly_optimal = out.primal_exact_feasible && out.dual_exact_feasible;
@@ -413,8 +424,39 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
     return out;
   }
 
+  // ---- the lower bound the basis proves ------------------------------------
+  // The exact duals with their wrong-signed rows projected to zero bound
+  // every feasible objective from below, as exact_safe_dual_bound's do:
+  // L = yᵀb + Σ_j min over the box of d_j·x_j, with d = c − Aᵀy for the
+  // projected y (a projected row's term is added back to Dy·d). Nothing is
+  // projected for a dual-feasible basis, and then L is its objective.
+  std::vector<Dyadic>& dp = ds;  // becomes Dy·d for the projected y
+  Dyadic bound_s;                // Dy·L
+  for (std::size_t r = 0; r < m; ++r) {
+    if (ys[r].is_zero()) continue;
+    if (projected[r] != 0) {
+      for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
+        dp[static_cast<std::size_t>(j)].add_product(v, ys[r]);
+      }
+    } else {
+      bound_s.add_product(p.row(static_cast<int>(r)).rhs, ys[r]);
+    }
+  }
+  out.has_proved_bound = true;
+  for (std::size_t j = 0; j < n && out.has_proved_bound; ++j) {
+    const int sgn = dp[j].sign();
+    if (sgn == 0) continue;
+    const double bnd = sgn > 0 ? p.lo(static_cast<int>(j)) : p.hi(static_cast<int>(j));
+    out.has_proved_bound = finite(bnd);
+    if (out.has_proved_bound) bound_s.add_product(bnd, dp[j]);
+  }
+  if (out.has_proved_bound) {
+    out.proved_bound = unscaled(bound_s, Dy);
+    out.proved_d.assign(n, Rat());
+    for (std::size_t j = 0; j < n; ++j) out.proved_d[j] = unscaled(dp[j], Dy);
+  }
+
   // ---- claim envelopes -----------------------------------------------------
-  const std::size_t terms = n + m;
   const Rat obj_env = claim_envelope(terms, Rat(1) + pobj.abs());
   const Rat obj_drift = (Rat(cert.obj) - pobj).abs();
   if (obj_drift > obj_env) {
@@ -422,6 +464,19 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
             "claimed objective drifts " + rat_str(obj_drift) +
                 " from the exact basis objective " + rat_str(pobj) +
                 ", outside the derived envelope " + rat_str(obj_env));
+  }
+  // The basis is optimal when the bound its own duals prove reaches its
+  // objective, up to the same envelope.
+  if (!out.has_proved_bound) {
+    rep.add(Severity::kError, codes::kLpExactDual, "objective",
+            "the exact basis duals prove no finite lower bound (a reduced cost meets an "
+            "infinite bound): the basis is not optimal");
+  } else if (pobj - out.proved_bound > obj_env) {
+    rep.add(Severity::kError, codes::kLpExactDual, "objective",
+            "the exact basis duals prove only the lower bound " + rat_str(out.proved_bound) +
+                ", " + rat_str(pobj - out.proved_bound) +
+                " below the basis objective and outside the derived envelope " +
+                rat_str(obj_env) + ": the basis is not optimal");
   }
 
   Dyadic ymax_s;  // Dy·max_r |y_r|
@@ -444,11 +499,6 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
                 " from the exact basis dual, outside the derived envelope " + rat_str(y_env));
   }
 
-  Dyadic xmax_s;  // Dx·max_j |x_j|
-  for (std::size_t j = 0; j < n; ++j) {
-    if (xs[j].abs() > xmax_s) xmax_s = xs[j].abs();
-  }
-  const Rat x_env = claim_envelope(terms, Rat(1) + unscaled(xmax_s, Dx));
   Dyadic worst_x;  // Dx·max_j |claimed x_j − x_j|, first column on ties
   std::size_t worst_xj = n;
   for (std::size_t j = 0; j < n; ++j) {

@@ -20,11 +20,20 @@
 // numbers (objective, duals, point) against the exact values: an honest
 // engine rounds. Those comparisons use the derived envelope of
 // exact/envelope.hpp — a function of problem size and magnitude only, with
-// no tunable knobs. Severity policy:
+// no tunable knobs. The same envelopes decide whether the claimed basis is
+// optimal at all. Its exact duals, with wrong-signed rows projected to zero,
+// prove a lower bound L on the LP optimum (`proved_bound`, with the reduced
+// costs `proved_d` that go with it); L is the basis objective exactly when
+// the basis is dual feasible. Severity policy:
 //   * malformed/singular basis, claimed objective, duals or point outside
 //     the envelope, failed Farkas proof          → error
-//   * exact vertex slightly primal- or dual-infeasible (the float engine
-//     stopped at a not-exactly-optimal basis)    → warning, with the exact
+//   * basis objective above L by more than the objective envelope, or no
+//     finite L                                   → error (lp-exact-dual)
+//   * exact vertex violating a bound by more than the point envelope
+//     x_env, or row r by more than x_env·Σ_j |a_rj| (no point within x_env
+//     of the vertex satisfies it)                → error (lp-exact-primal)
+//   * smaller exact primal or dual infeasibility (the float engine stopped
+//     at a not-exactly-optimal basis)            → warning, with the exact
 //     violation magnitude; `exactly_optimal` records it
 //   * claimed point inside the envelope but not exactly the vertex → info
 //
@@ -59,12 +68,15 @@ struct ExactLpOutcome {
   Rat exact_objective;          ///< cᵀx of the exact basic solution
   std::vector<Rat> exact_x;     ///< exact structural values [n]
   std::vector<Rat> exact_y;     ///< exact row duals [m]
-  std::vector<Rat> exact_d;     ///< exact reduced costs [n]
 
-  // Safe dual bound derived from the certificate's float duals (kOptimal)
-  // — valid even when the basis is not exactly optimal.
-  bool has_safe_bound = false;
-  Rat safe_lower_bound;
+  // Lower bound on the LP optimum proved by exact_y with its wrong-signed
+  // rows projected to zero, and the reduced costs c − Aᵀy of that projected
+  // vector [n]: the pair root reduced-cost fixings are judged with. Valid
+  // whether or not the basis is optimal; absent when a nonzero reduced cost
+  // meets an infinite bound.
+  bool has_proved_bound = false;
+  Rat proved_bound;
+  std::vector<Rat> proved_d;
 
   // kInfeasible path: did the Farkas ray prove infeasibility exactly?
   bool farkas_proved = false;

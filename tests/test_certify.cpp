@@ -59,6 +59,30 @@ Report certify(const nd::lp::Problem& p, const nd::lp::Certificate& cert) {
   return nd::analysis::certify_lp_exact(p, cert).report;
 }
 
+/// Errors in `rep` with diagnostic code `code`.
+int errors_of(const Report& rep, const char* code) {
+  int k = 0;
+  for (const auto& d : rep.diagnostics()) {
+    if (d.severity == nd::analysis::Severity::kError && d.code == code) ++k;
+  }
+  return k;
+}
+
+// simple_lp's basis with x0 at its lower bound and x1 basic on the GE row.
+// Its vertex (0, 1) is feasible with objective 2, and its exact duals (2, 0)
+// have the right row signs, but they leave x0 the reduced cost -1: the
+// optimum 1 lies below, and these duals prove only 2 + (-1)·1 = 1.
+nd::lp::Certificate suboptimal_cert() {
+  nd::lp::Certificate c;
+  c.status = nd::lp::SolveStatus::kOptimal;
+  c.obj = 2.0;
+  c.x = {0.0, 1.0};
+  c.y = {2.0, 0.0};
+  c.vstat = {nd::lp::VarStatus::kAtLower, nd::lp::VarStatus::kBasic};
+  c.basis = {1, 3};  // x1 on row 0; row 1's slack
+  return c;
+}
+
 TEST(CertifyLp, RejectsTamperedObjective) {
   const auto p = simple_lp();
   auto cert = solved_cert(p);
@@ -100,6 +124,14 @@ TEST(CertifyLp, RejectsSlacknessViolation) {
   cert.y[1] = -0.5;
   const Report rep = certify(p, cert);
   EXPECT_GE(rep.count_code(codes::kLpExactDualDrift), 1) << rep.to_table();
+}
+
+TEST(CertifyLp, RejectsNonOptimalBasis) {
+  // Claimed point, duals and objective are exactly the basis's own, so only
+  // the optimality of the basis itself can reject it.
+  const Report rep = certify(simple_lp(), suboptimal_cert());
+  EXPECT_EQ(errors_of(rep, codes::kLpExactDual), 1) << rep.to_table();
+  EXPECT_EQ(rep.num_errors(), 1) << rep.to_table();
 }
 
 TEST(CertifyLp, RejectsWrongStatusClaim) {
@@ -261,6 +293,34 @@ TEST(CertifyBnb, RejectsUnjustifiedRootFixing) {
   audit.root_fixings.push_back({1, true, 0.0, 0.0});
   const Report rep = nd::analysis::certify_bnb_exact(m, audit).report;
   EXPECT_GE(rep.count_code(codes::kBnbExactFixing), 1) << rep.to_table();
+}
+
+TEST(CertifyBnb, RejectsRootFixingsOnNonOptimalRootBasis) {
+  // simple_lp over binaries: the root LP optimum (1, 0) is integral, so the
+  // tree is the root alone.
+  nd::milp::Model m;
+  const int x0 = m.add_bin(1.0, "x0");
+  const int x1 = m.add_bin(2.0, "x1");
+  m.add_row({{x0, 1.0}, {x1, 1.0}}, Sense::GE, 1.0);
+  m.add_row({{x0, 1.0}, {x1, 1.0}}, Sense::LE, 3.0);
+  nd::milp::AuditLog audit;
+  nd::milp::MipOptions opt;
+  opt.presolve = false;
+  opt.audit = &audit;
+  ASSERT_EQ(nd::milp::solve(m, opt).status, nd::milp::MipStatus::kOptimal);
+  ASSERT_EQ(audit.nodes.size(), 1u);
+  ASSERT_TRUE(nd::analysis::certify_bnb_exact(m, audit).accepted());
+  // Root at the suboptimal basis, with x0 fixed to its upper bound under an
+  // incumbent of 2: the basis's reduced cost -1 on x0 covers the slack
+  // 2 - 1 to the bound its duals prove, but that basis is no LP optimum.
+  audit.root_cert = suboptimal_cert();
+  audit.root_bound = 2.0;
+  audit.warm_accepted = true;
+  audit.warm_obj = 2.0;
+  audit.root_fixings.push_back({x0, false, 1.0, 1.0});
+  const Report rep = nd::analysis::certify_bnb_exact(m, audit).report;
+  EXPECT_EQ(errors_of(rep, codes::kLpExactDual), 1) << rep.to_table();
+  EXPECT_EQ(rep.num_errors(), 1) << rep.to_table();
 }
 
 TEST(CertifyBnb, RejectsCorruptedRootCertificate) {

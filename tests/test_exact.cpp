@@ -546,9 +546,90 @@ TEST(ExactLp, AcceptsGenuineCertificateExactly) {
   EXPECT_TRUE(out.accepted()) << out.report.to_table();
   EXPECT_TRUE(out.exactly_optimal);
   EXPECT_EQ(out.exact_objective, Rat(1));       // optimum (1, 0) exactly
-  ASSERT_TRUE(out.has_safe_bound);
-  EXPECT_LE(out.safe_lower_bound, Rat(1));
-  EXPECT_EQ(out.safe_lower_bound, Rat(1));      // exact duals: bound is tight
+  ASSERT_TRUE(out.has_proved_bound);
+  EXPECT_EQ(out.proved_bound, Rat(1));          // exact duals: bound is tight
+}
+
+/// Errors in `rep` with diagnostic code `code`.
+int errors_of(const nd::analysis::Report& rep, const char* code) {
+  int k = 0;
+  for (const auto& d : rep.diagnostics()) {
+    if (d.severity == nd::analysis::Severity::kError && d.code == code) ++k;
+  }
+  return k;
+}
+
+// minimize x0 + 0.5 x1  s.t.  x0 + x1 >= 1,  x0 - 10 x1 <= 0,  x in [0,1]^2.
+// The optimum (0, 1) is unique and integral.
+nd::lp::Problem ten_to_one_lp() {
+  nd::lp::Problem p;
+  p.add_var(0.0, 1.0, 1.0, "x0");
+  p.add_var(0.0, 1.0, 0.5, "x1");
+  p.add_row({{0, 1.0}, {1, 1.0}}, Sense::GE, 1.0);
+  p.add_row({{0, 1.0}, {1, -10.0}}, Sense::LE, 0.0);
+  return p;
+}
+
+// ten_to_one_lp's basis with x0 basic on the LE row and x1 at its lower
+// bound: the vertex (0, 0) misses the GE row by a whole unit. Its exact duals
+// (0, 1) have the wrong sign on the LE row and give x1 the reduced cost 10.5;
+// projected to zero they prove only 0, with reduced costs c = (1, 0.5).
+nd::lp::Certificate infeasible_vertex_cert() {
+  nd::lp::Certificate c;
+  c.status = nd::lp::SolveStatus::kOptimal;
+  c.obj = 0.0;
+  c.x = {0.0, 0.0};
+  c.y = {0.0, 1.0};
+  c.vstat = {nd::lp::VarStatus::kBasic, nd::lp::VarStatus::kAtLower};
+  c.basis = {0, 2};  // x0; row 0's slack
+  return c;
+}
+
+TEST(ExactLp, RejectsPrimalInfeasibleBasis) {
+  const auto out = nd::analysis::certify_lp_exact(ten_to_one_lp(), infeasible_vertex_cert());
+  EXPECT_EQ(errors_of(out.report, codes::kLpExactPrimal), 1) << out.report.to_table();
+  EXPECT_EQ(out.report.num_errors(), 1) << out.report.to_table();
+  ASSERT_TRUE(out.has_proved_bound);
+  EXPECT_EQ(out.proved_bound, Rat(0));
+  EXPECT_EQ(out.proved_d, (std::vector<Rat>{Rat(1), Rat(1, 2)}));
+}
+
+TEST(ExactLp, KeepsViolationsInsideTheEnvelopeWarnings) {
+  const double tiny = std::ldexp(1.0, -45);
+  {
+    // x0 = 1 + 2^-45 on its EQ row overshoots hi = 1 by 2^-45.
+    nd::lp::Problem p;
+    p.add_var(0.0, 1.0, 1.0, "x0");
+    p.add_row({{0, 1.0}}, Sense::EQ, 1.0 + tiny);
+    nd::lp::Certificate c;
+    c.status = nd::lp::SolveStatus::kOptimal;
+    c.obj = 1.0 + tiny;
+    c.x = {1.0 + tiny};
+    c.y = {1.0};
+    c.vstat = {nd::lp::VarStatus::kBasic};
+    c.basis = {0};
+    const auto out = nd::analysis::certify_lp_exact(p, c);
+    EXPECT_TRUE(out.accepted()) << out.report.to_table();
+    EXPECT_EQ(out.report.count_code(codes::kLpExactPrimal), 1) << out.report.to_table();
+  }
+  {
+    // x1 at lower with reduced cost -2^-45: the duals prove 0.5 - 2^-45.
+    nd::lp::Problem p;
+    p.add_var(0.0, 1.0, 1.0, "x0");
+    p.add_var(0.0, 1.0, 1.0 - tiny, "x1");
+    p.add_row({{0, 1.0}, {1, 1.0}}, Sense::GE, 0.5);
+    nd::lp::Certificate c;
+    c.status = nd::lp::SolveStatus::kOptimal;
+    c.obj = 0.5;
+    c.x = {0.5, 0.0};
+    c.y = {1.0};
+    c.vstat = {nd::lp::VarStatus::kBasic, nd::lp::VarStatus::kAtLower};
+    c.basis = {0};
+    const auto out = nd::analysis::certify_lp_exact(p, c);
+    EXPECT_TRUE(out.accepted()) << out.report.to_table();
+    EXPECT_EQ(out.report.count_code(codes::kLpExactDual), 1) << out.report.to_table();
+    EXPECT_EQ(out.proved_bound, Rat(1, 2) - Rat(tiny));
+  }
 }
 
 TEST(ExactLp, RejectsObjectiveForgeryBelowFloatTolerance) {
@@ -961,6 +1042,35 @@ TEST(ExactBnb, RejectsSolutionClaimOnExactlyInfeasibleRoot) {
   audit.status = nd::milp::MipStatus::kFeasible;
   const auto out = nd::analysis::certify_bnb_exact(m, audit);
   EXPECT_GE(out.report.count_code(codes::kBnbExactRoot), 1) << out.report.to_table();
+}
+
+TEST(ExactBnb, JudgesRootFixingsWithSignFeasibleDuals) {
+  nd::milp::Model m;
+  const auto lp = ten_to_one_lp();
+  for (int j = 0; j < lp.num_vars(); ++j) (void)m.add_bin(lp.obj(j), lp.name(j));
+  for (int r = 0; r < lp.num_rows(); ++r) {
+    m.add_row(lp.row(r).coef, lp.row(r).sense, lp.row(r).rhs);
+  }
+  AuditLog audit;
+  nd::milp::MipOptions opt;
+  opt.presolve = false;
+  opt.audit = &audit;
+  ASSERT_EQ(nd::milp::solve(m, opt).status, nd::milp::MipStatus::kOptimal);
+  ASSERT_EQ(audit.nodes.size(), 1u);
+  ASSERT_TRUE(nd::analysis::certify_bnb_exact(m, audit).accepted());
+  // Fix x1 to 0 under the incumbent (1, 1) of 1.5, which leaves no feasible
+  // point. The basis's own reduced cost 10.5 on x1 would cover the slack
+  // 1.5 - 0, but it comes from a wrong-signed row dual; the sign-feasible
+  // duals behind the bound 0 push x1 by only 0.5.
+  audit.root_cert = infeasible_vertex_cert();
+  audit.root_bound = 0.0;
+  audit.warm_accepted = true;
+  audit.warm_obj = 1.5;
+  audit.root_fixings.push_back({1, true, 0.0, 0.0});
+  const auto out = nd::analysis::certify_bnb_exact(m, audit);
+  EXPECT_EQ(errors_of(out.report, codes::kBnbExactFixing), 1) << out.report.to_table();
+  EXPECT_EQ(errors_of(out.report, codes::kLpExactPrimal), 1) << out.report.to_table();
+  EXPECT_EQ(out.report.num_errors(), 2) << out.report.to_table();
 }
 
 /// Intervals lp::Problem::set_var_bounds refuses.
