@@ -51,6 +51,27 @@ Rat unscaled(const Dyadic& s, const BigInt& D) {
   return D.is_unit() ? s.to_rat() : s.to_rat() / Rat(D, BigInt(1));
 }
 
+/// yᵀb + Σ_j min over the box of d_j·x_j, for duals y with the signs their
+/// rows demand and d = c − Aᵀy (both may carry one common scale): a lower
+/// bound on every feasible objective. False when a nonzero d_j meets an
+/// infinite bound, where the minimum is −∞.
+bool box_bound(const lp::Problem& p, const std::vector<Dyadic>& y,
+               const std::vector<Dyadic>& d, Dyadic* bound) {
+  Dyadic b;
+  for (std::size_t r = 0; r < y.size(); ++r) {
+    if (!y[r].is_zero()) b.add_product(p.row(static_cast<int>(r)).rhs, y[r]);
+  }
+  for (std::size_t j = 0; j < d.size(); ++j) {
+    const int sgn = d[j].sign();
+    if (sgn == 0) continue;
+    const double bnd = sgn > 0 ? p.lo(static_cast<int>(j)) : p.hi(static_cast<int>(j));
+    if (!finite(bnd)) return false;
+    b.add_product(bnd, d[j]);
+  }
+  *bound = std::move(b);
+  return true;
+}
+
 }  // namespace
 
 bool solve_exact_linear_system(std::vector<std::vector<Rat>> M, std::vector<Rat> rhs,
@@ -96,18 +117,8 @@ bool exact_safe_dual_bound(const lp::Problem& p, const std::vector<double>& y,
     }
   }
 
-  // bound = yᵀb + Σ_j min over the box of d_j·x_j.
   Dyadic b;
-  for (std::size_t r = 0; r < m; ++r) {
-    if (!ys[r].is_zero()) b.add_product(p.row(static_cast<int>(r)).rhs, ys[r]);
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    const int sgn = d[j].sign();
-    if (sgn == 0) continue;
-    const double bnd = sgn > 0 ? p.lo(static_cast<int>(j)) : p.hi(static_cast<int>(j));
-    if (!finite(bnd)) return false;  // min is −∞: no valid bound from this y
-    b.add_product(bnd, d[j]);
-  }
+  if (!box_bound(p, ys, d, &b)) return false;
   *bound = b.to_rat();
   return true;
 }
@@ -424,38 +435,6 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
     return out;
   }
 
-  // ---- the lower bound the basis proves ------------------------------------
-  // The exact duals with their wrong-signed rows projected to zero bound
-  // every feasible objective from below, as exact_safe_dual_bound's do:
-  // L = yᵀb + Σ_j min over the box of d_j·x_j, with d = c − Aᵀy for the
-  // projected y (a projected row's term is added back to Dy·d). Nothing is
-  // projected for a dual-feasible basis, and then L is its objective.
-  std::vector<Dyadic>& dp = ds;  // becomes Dy·d for the projected y
-  Dyadic bound_s;                // Dy·L
-  for (std::size_t r = 0; r < m; ++r) {
-    if (ys[r].is_zero()) continue;
-    if (projected[r] != 0) {
-      for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
-        dp[static_cast<std::size_t>(j)].add_product(v, ys[r]);
-      }
-    } else {
-      bound_s.add_product(p.row(static_cast<int>(r)).rhs, ys[r]);
-    }
-  }
-  out.has_proved_bound = true;
-  for (std::size_t j = 0; j < n && out.has_proved_bound; ++j) {
-    const int sgn = dp[j].sign();
-    if (sgn == 0) continue;
-    const double bnd = sgn > 0 ? p.lo(static_cast<int>(j)) : p.hi(static_cast<int>(j));
-    out.has_proved_bound = finite(bnd);
-    if (out.has_proved_bound) bound_s.add_product(bnd, dp[j]);
-  }
-  if (out.has_proved_bound) {
-    out.proved_bound = unscaled(bound_s, Dy);
-    out.proved_d.assign(n, Rat());
-    for (std::size_t j = 0; j < n; ++j) out.proved_d[j] = unscaled(dp[j], Dy);
-  }
-
   // ---- claim envelopes -----------------------------------------------------
   const Rat obj_env = claim_envelope(terms, Rat(1) + pobj.abs());
   const Rat obj_drift = (Rat(cert.obj) - pobj).abs();
@@ -464,19 +443,6 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
             "claimed objective drifts " + rat_str(obj_drift) +
                 " from the exact basis objective " + rat_str(pobj) +
                 ", outside the derived envelope " + rat_str(obj_env));
-  }
-  // The basis is optimal when the bound its own duals prove reaches its
-  // objective, up to the same envelope.
-  if (!out.has_proved_bound) {
-    rep.add(Severity::kError, codes::kLpExactDual, "objective",
-            "the exact basis duals prove no finite lower bound (a reduced cost meets an "
-            "infinite bound): the basis is not optimal");
-  } else if (pobj - out.proved_bound > obj_env) {
-    rep.add(Severity::kError, codes::kLpExactDual, "objective",
-            "the exact basis duals prove only the lower bound " + rat_str(out.proved_bound) +
-                ", " + rat_str(pobj - out.proved_bound) +
-                " below the basis objective and outside the derived envelope " +
-                rat_str(obj_env) + ": the basis is not optimal");
   }
 
   Dyadic ymax_s;  // Dy·max_r |y_r|
@@ -519,6 +485,37 @@ ExactLpOutcome certify_lp_exact(const lp::Problem& p, const lp::Certificate& cer
                 " from the exact basic solution (engine residual; informational)");
   }
 
+  // ---- the lower bound the basis proves ------------------------------------
+  // The exact duals with their wrong-signed rows projected to zero, as
+  // exact_safe_dual_bound projects float ones: each projected row's term is
+  // added back to Dy·d. Nothing is projected for a dual-feasible basis, and
+  // then the bound is its objective. The basis is optimal when that bound
+  // reaches its objective, up to the objective envelope.
+  for (std::size_t r = 0; r < m; ++r) {
+    if (projected[r] == 0) continue;
+    for (const auto& [j, v] : p.row(static_cast<int>(r)).coef) {
+      ds[static_cast<std::size_t>(j)].add_product(v, ys[r]);
+    }
+    ys[r] = Dyadic();
+  }
+  Dyadic bound_s;  // Dy·bound
+  out.has_proved_bound = box_bound(p, ys, ds, &bound_s);
+  if (!out.has_proved_bound) {
+    rep.add(Severity::kError, codes::kLpExactDual, "objective",
+            "the exact basis duals prove no finite lower bound (a reduced cost meets an "
+            "infinite bound): the basis is not optimal");
+    return out;
+  }
+  out.proved_bound = unscaled(bound_s, Dy);
+  out.proved_d.assign(n, Rat());
+  for (std::size_t j = 0; j < n; ++j) out.proved_d[j] = unscaled(ds[j], Dy);
+  if (pobj - out.proved_bound > obj_env) {
+    rep.add(Severity::kError, codes::kLpExactDual, "objective",
+            "the exact basis duals prove only the lower bound " + rat_str(out.proved_bound) +
+                ", " + rat_str(pobj - out.proved_bound) +
+                " below the basis objective and outside the derived envelope " +
+                rat_str(obj_env) + ": the basis is not optimal");
+  }
   return out;
 }
 
